@@ -182,8 +182,6 @@ struct ModeRun {
   // Decode-plan effect (zero unless an active plan drove the decoder).
   std::int64_t plan_table_hits = 0, plan_sliced_queries = 0;
   std::int64_t plan_sliced_rules = 0;
-  // Abstract-interpretation prefilter traffic (zero when absint is off).
-  std::int64_t absint_checks = 0, absint_hits = 0;
 };
 
 // Wall-clock measurement used for the extrapolated table (independent of
@@ -227,9 +225,6 @@ ModeRun run_mode(std::string name, int samples,
         registry.counter("decode.plan.sliced_queries").value();
     run.plan_sliced_rules =
         registry.counter("decode.plan.sliced_rules").value();
-    run.absint_checks =
-        registry.counter("decode.absint.prefilter_checks").value();
-    run.absint_hits = registry.counter("decode.absint.prefilter_hits").value();
   }
   return run;
 }
@@ -271,10 +266,6 @@ std::string modes_json(const std::vector<ModeRun>& runs) {
     w.key("table_hits").value(r.plan_table_hits);
     w.key("sliced_queries").value(r.plan_sliced_queries);
     w.key("sliced_rules").value(r.plan_sliced_rules);
-    w.end_object();
-    w.key("absint").begin_object();
-    w.key("prefilter_checks").value(r.absint_checks);
-    w.key("prefilter_hits").value(r.absint_hits);
     w.end_object();
     w.key("split").begin_object();
     w.key("lm_forward_frac").value(denom > 0.0 ? lm_s / denom : 0.0);
@@ -463,34 +454,6 @@ void print_fig3_right(bench::JsonReport& report) {
     }));
     degraded_stats = dec.backend_stats();
   }
-  // Absint ablation (DESIGN.md §16.2): the mined imputation workload once
-  // more with both the feasibility cache and the abstract-interpretation
-  // prefilter off. The "no cache" run above (cache off, absint on — the
-  // DecoderConfig default) is the on-leg; this is the off-leg. The cache is
-  // disabled on both legs because its negative caching would otherwise
-  // absorb exactly the probes the prefilter refutes, masking the solver
-  // shedding the pair is meant to isolate — same methodology as the cache
-  // ablation itself. The abstraction only ever *refutes* — and a refutation
-  // is a proof — so decodes must stay bit-identical to the reference.
-  bool absint_bit_identical = true;
-  int no_absint_row = -1;
-  {
-    core::DecoderConfig cfg{.mode = core::GuidanceMode::kFull};
-    cfg.cache = false;
-    cfg.absint = false;
-    core::GuidedDecoder dec(env().lm(), env().tokenizer, env().layout,
-                            env().mined, cfg);
-    util::Rng rng(7);
-    std::size_t i = 0;
-    no_absint_row = static_cast<int>(rows.size());
-    rows.push_back(run_mode("LeJIT (mined, no cache/absint)", scaled(40),
-                            [&](const Window& w) {
-      const auto res = dec.generate(rng, telemetry::imputation_prompt(w));
-      if (i >= mined_texts.size() || res.text != mined_texts[i])
-        absint_bit_identical = false;
-      ++i;
-    }));
-  }
   report.add_raw("modes", modes_json(rows));
 
   const ModeRun& cached = rows[3];
@@ -577,23 +540,6 @@ void print_fig3_right(bench::JsonReport& report) {
     w.end_object();
     report.add_raw("backend_ablation", w.str());
   }
-  const ModeRun& no_absint = rows[static_cast<std::size_t>(no_absint_row)];
-  {
-    lejit::obs::JsonWriter w;
-    w.begin_object();
-    w.key("bit_identical").value(absint_bit_identical);
-    w.key("prefilter_checks").value(uncached.absint_checks);
-    w.key("prefilter_hits").value(uncached.absint_hits);
-    w.key("solver_checks_on").value(uncached.solver_checks);
-    w.key("solver_checks_off").value(no_absint.solver_checks);
-    w.key("propagations_on").value(uncached.solver_propagations);
-    w.key("propagations_off").value(no_absint.solver_propagations);
-    w.key("ms_per_sample_on").value(uncached.sec_per_sample * 1e3);
-    w.key("ms_per_sample_off").value(no_absint.sec_per_sample * 1e3);
-    w.end_object();
-    report.add_raw("absint_ablation", w.str());
-  }
-
   bench::Table table(
       "Fig. 3 (right) — runtime for the 30K-sample imputation workload "
       "(extrapolated from measured per-sample latency)",
@@ -659,14 +605,6 @@ void print_fig3_right(bench::JsonReport& report) {
   std::cout << "degraded run answered "
             << degraded_stats.degraded << "/" << degraded_stats.checks
             << " checks via the in-process fallback)\n";
-
-  std::cout << "shape: absint on/off decodes bit-identical -> "
-            << (absint_bit_identical ? "YES" : "NO *** MISMATCH ***")
-            << "\nshape: prefilter answered " << uncached.absint_hits << "/"
-            << uncached.absint_checks
-            << " feasibility probes (cache-off legs); solver checks "
-            << uncached.solver_checks << " (on) vs "
-            << no_absint.solver_checks << " (off)\n";
 }
 
 }  // namespace

@@ -1,15 +1,10 @@
 // lejit::absint — sound abstract interpretation over rule sets (DESIGN.md §16).
 //
-// PRs 3/5/7 pushed solver work down to ~18% of decode time, but every
-// remaining feasibility check still bottoms out in SMT. This module computes,
-// once per rule set, a sound over-approximation of each field's feasible
-// values under the conjunction of all rules — and keeps it cheap to refine as
-// the decoder pins fields. The decoder, the linter, and the plan verifier all
-// consume the same engine:
+// This module computes, once per rule set, a sound over-approximation of each
+// field's feasible values under the conjunction of all rules, and can refine
+// it with further facts (pins). The linter and the plan verifier consume it;
+// the decoder does not (DESIGN.md §16.2 records why):
 //
-//   decode   abstract-infeasible ⇒ truly infeasible ⇒ skip the solver check
-//            entirely (a refutation-only prefilter: it never *proves*
-//            feasibility, so a complete backend gives bit-identical masks).
 //   lint     solver-free findings (constant/congruent fields, restricted
 //            last digits, tightened overflow magnitudes) and an absint
 //            prefilter for dead-rule detection that stops burning smt::Budget.

@@ -85,12 +85,6 @@ class StatsFlush {
     c_table_hits.add(result_.stats.plan_table_hits);
     c_sliced.add(result_.stats.plan_sliced_queries);
     c_sliced_rules.add(result_.stats.plan_sliced_rules);
-    static obs::Counter& c_absint_checks =
-        registry.counter("decode.absint.prefilter_checks");
-    static obs::Counter& c_absint_hits =
-        registry.counter("decode.absint.prefilter_hits");
-    c_absint_checks.add(result_.stats.absint_checks);
-    c_absint_hits.add(result_.stats.absint_hits);
     // Mean fraction of the rule set a sliced query asserted (vs. the full
     // set an unplanned query drags through propagation), cumulative.
     if (num_rules_ > 0 && c_sliced.value() > 0)
@@ -160,6 +154,43 @@ struct GuidedDecoder::Walk {
       return layout.fields[static_cast<std::size_t>(field) + 1].prefix.front();
     return layout.suffix.front();
   }
+
+  // A field whose digits one step terminated.
+  struct Completed {
+    int field;
+    DigitPrefix digits;
+  };
+  // Consumes one character of the row syntax; returns the field it
+  // terminated, if any.
+  std::optional<Completed> step(const telemetry::RowLayout& layout, char c) {
+    if (in_suffix(layout)) {
+      LEJIT_ASSERT(layout.suffix[suffix_pos] == c, "suffix mismatch");
+      ++suffix_pos;
+      return std::nullopt;
+    }
+    const auto& spec = layout.fields[static_cast<std::size_t>(field)];
+    if (prefix_pos < spec.prefix.size()) {
+      LEJIT_ASSERT(spec.prefix[prefix_pos] == c, "prefix mismatch");
+      ++prefix_pos;
+      return std::nullopt;
+    }
+    if (c >= '0' && c <= '9') {
+      digits = digits.extended(c - '0');
+      return std::nullopt;
+    }
+    // Any other character terminates the field.
+    LEJIT_ASSERT(!digits.empty(), "field terminated without digits");
+    LEJIT_ASSERT(c == terminator(layout),
+                 "terminator opens neither the next field nor the suffix");
+    const Completed done{field, digits};
+    ++field;
+    digits = DigitPrefix{};
+    if (field < layout.num_fields())
+      prefix_pos = 1;
+    else
+      suffix_pos = 1;
+    return done;
+  }
 };
 
 GuidedDecoder::GuidedDecoder(const lm::LanguageModel& model,
@@ -191,18 +222,6 @@ GuidedDecoder::GuidedDecoder(const lm::LanguageModel& model,
   vars_ = rules::declare_fields(*solver_, layout_);
   rules::assert_rules(*solver_, rules_);
 
-  // Abstract interpretation of the rule set (DESIGN.md §16): one load-time
-  // fixpoint powers the kFull prefilter and tightens the cache's static
-  // hulls. kHull masking itself is untouched — its hole-blind hull semantics
-  // are the ablation under measure — but a kHull row can escalate into kFull
-  // mid-batch, so the state is maintained for both solver-guided modes.
-  if (config_.absint && (config_.mode == GuidanceMode::kFull ||
-                         config_.mode == GuidanceMode::kHull)) {
-    const absint::Analysis analysis = absint::analyze(rules_, layout_);
-    absint_base_ = analysis.fields;
-    absint_on_ = true;
-  }
-
   if (config_.lint_on_load) {
     const obs::Span span(obs::Phase::kLint);
     lint::Report report = lint::analyze(rules_, layout_, config_.lint);
@@ -211,26 +230,16 @@ GuidedDecoder::GuidedDecoder(const lm::LanguageModel& model,
                                lint::to_text(report));
     lint_report_ = std::move(report);
   }
-  if (config_.cache && (absint_on_ || lint_report_)) {
-    // Hand the static field hulls to the cache: lint's exact hulls and
-    // witnesses serve the attempt-start fingerprint directly, absint's
-    // fixpoint intervals tighten every fingerprint's propagated fallback
-    // (intersecting can never shrink an exact hull — the abstraction
-    // over-approximates the very feasible set that hull is the min/max of).
-    const auto nf = static_cast<std::size_t>(layout_.num_fields());
-    std::vector<FeasibilityCache::Hull> hulls(nf);
-    for (std::size_t f = 0; f < nf; ++f) {
-      FeasibilityCache::Hull& entry = hulls[f];
-      if (lint_report_ && f < lint_report_->hulls.size()) {
-        const lint::FieldHull& h = lint_report_->hulls[f];
-        entry.bounds = h.bounds;
-        entry.exact = h.exact;
-        for (const Int w : h.witnesses) entry.add_witness(w);
-      } else {
-        entry.bounds = {0, layout_.fields[f].max_value};
-      }
-      if (absint_on_)
-        entry.bounds = intersect(entry.bounds, absint_base_[f].range);
+  if (config_.cache && lint_report_) {
+    // Hand lint's static field hulls to the cache: their exact bounds and
+    // witnesses serve the attempt-start fingerprint directly, and their
+    // bounds tighten every other fingerprint's propagated fallback.
+    std::vector<FeasibilityCache::Hull> hulls(lint_report_->hulls.size());
+    for (std::size_t f = 0; f < hulls.size(); ++f) {
+      const lint::FieldHull& h = lint_report_->hulls[f];
+      hulls[f].bounds = h.bounds;
+      hulls[f].exact = h.exact;
+      for (const Int w : h.witnesses) hulls[f].add_witness(w);
     }
     cache_.seed_static_hulls(std::move(hulls));
   }
@@ -371,6 +380,10 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
   // --- guided modes: walk the row syntax, with budgets and recovery ----------
   const ResilienceConfig& res = config_.resilience;
   const int vocab = tokenizer_.vocab_size();
+  // Checked before any syntax walk, so a bad prompt is a precondition error
+  // rather than a literal mismatch inside the walk.
+  for (const char c : prompt)
+    LEJIT_REQUIRE(tokenizer_.has_char(c), "prompt character outside alphabet");
 
   // Per-row ceilings, spanning every recovery attempt of this row.
   const std::int64_t row_deadline_ns =
@@ -429,29 +442,10 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
   int prompt_partial_field = -1;
   if (plan_mode) {
     Walk pw;
-    for (const char c : prompt) {
-      if (pw.in_suffix(layout_)) {
-        ++pw.suffix_pos;
-        continue;
-      }
-      const auto& spec = layout_.fields[static_cast<std::size_t>(pw.field)];
-      if (pw.prefix_pos < spec.prefix.size()) {
-        ++pw.prefix_pos;
-        continue;
-      }
-      if (c >= '0' && c <= '9') {
-        pw.digits = pw.digits.extended(c - '0');
-        continue;
-      }
-      prompt_fields |= std::uint64_t{1} << static_cast<unsigned>(pw.field);
-      ++pw.field;
-      pw.digits = DigitPrefix{};
-      if (pw.field < layout_.num_fields())
-        pw.prefix_pos = 1;
-      else
-        pw.suffix_pos = 1;
-    }
-    if (!pw.in_suffix(layout_) && pw.in_digits(layout_) && !pw.digits.empty())
+    for (const char c : prompt)
+      if (const auto done = pw.step(layout_, c))
+        prompt_fields |= std::uint64_t{1} << static_cast<unsigned>(done->field);
+    if (pw.in_digits(layout_) && !pw.digits.empty())
       prompt_partial_field = pw.field;
     ensure_sliced_solvers(prompt_fields);
   }
@@ -459,12 +453,23 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
   // How an inconclusive result reads once escalation is exhausted.
   const bool unknown_is_feasible = res.on_unknown == UnknownPolicy::kFeasible;
 
-  // Policy-escalated satisfiability on an explicit solver (the full one or a
-  // plan cluster slice), returning the final raw result so callers can cache
-  // it. kUnknown here means escalation is already spent.
-  const auto check_on = [&](smt::Backend& solver,
-                            std::span<const smt::Formula> fs)
-      -> smt::CheckResult {
+  // The last two stages of every feasibility question: the verdict memo
+  // (cache on), then one live check on `solver` (the full one or a plan
+  // cluster slice) with kUnknown escalated per the policy. Sets `live_sat`
+  // only when a live check answered kSat, so callers harvest witnesses from
+  // fresh models and never from memo hits.
+  const auto admitted = [&](smt::Backend& solver,
+                            std::span<const smt::Formula> fs, QueryKind kind,
+                            std::uint64_t key_fp, int field, Int value,
+                            int digits, bool* live_sat = nullptr) {
+    if (use_cache) {
+      if (const auto v = cache_.lookup(kind, key_fp, field, value, digits)) {
+        if (*v != smt::CheckResult::kUnknown)
+          return *v == smt::CheckResult::kSat;
+        ++result.stats.unknown_checks;
+        return unknown_is_feasible;
+      }
+    }
     smt::CheckResult r = solver.check_assuming(fs, check_budget(0));
     for (int e = 1; r == smt::CheckResult::kUnknown; ++e) {
       ++result.stats.unknown_checks;
@@ -478,22 +483,10 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
       ++result.stats.escalations;
       r = solver.check_assuming(fs, check_budget(e));
     }
-    return r;
-  };
-  const auto check_under_policy = [&](std::span<const smt::Formula> fs) {
-    return check_on(*solver_, fs);
-  };
-
-  // Policy-mediated satisfiability: kUnknown is escalated and/or mapped to
-  // the configured meaning instead of silently reading as infeasible.
-  const auto sat_on = [&](smt::Backend& solver,
-                          std::span<const smt::Formula> fs) {
-    const smt::CheckResult r = check_on(solver, fs);
+    if (use_cache) cache_.store(kind, key_fp, field, value, digits, r);
+    if (live_sat) *live_sat = r == smt::CheckResult::kSat;
     if (r == smt::CheckResult::kUnknown) return unknown_is_feasible;
     return r == smt::CheckResult::kSat;
-  };
-  const auto sat_under_policy = [&](std::span<const smt::Formula> fs) {
-    return sat_on(*solver_, fs);
   };
 
   // Policy-mediated hull query (kHull mode). A conclusive hull — cached or
@@ -516,7 +509,7 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
       ++result.stats.unknown_checks;
       if (res.on_unknown != UnknownPolicy::kEscalate || e > res.max_escalations)
         break;
-      // Same deadline re-check as check_on: no enlarged retry after the row
+      // Same deadline re-check as admitted(): no enlarged retry after the row
       // deadline already expired.
       if (row_deadline_ns != 0 && obs::now_ns() >= row_deadline_ns) break;
       ++result.stats.escalations;
@@ -623,18 +616,6 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
     // and keep the cluster provably satisfiable.
     bool replaying = true;
 
-    // Fresh abstract state for this attempt: the load-time fixpoint, refined
-    // below by this attempt's bans and (through pin_field) its pins. Learning
-    // a formula may drive the state to all-bottom — that is the abstraction
-    // proving rules ∧ pins ∧ bans unsat, so the prefilter refuting every
-    // subsequent query matches what the solver would answer.
-    if (absint_on_) absint_state_ = absint_base_;
-    const auto absint_learn = [&](const smt::Formula& f) {
-      if (!absint_on_) return;
-      if (absint::refine(absint_state_, f))
-        (void)absint::refine_all(absint_state_, rules_);
-    };
-
     // Re-assert dead-end bans inside this attempt's scope. Each ban records a
     // pin the solver proved infeasible, so excluding it cannot remove a value
     // a compliant row needs (at worst it narrows diversity near the ban).
@@ -645,7 +626,6 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
             smt::ne(smt::LinExpr(vars_[static_cast<std::size_t>(field)]),
                     smt::LinExpr(value));
         solver_->add(ban_f);
-        absint_learn(ban_f);
         fp = mix_pin(fp, kPinTagBan, field, value);
         if (plan_attempt) {
           const std::size_t c = static_cast<std::size_t>(
@@ -680,7 +660,6 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
           smt::eq(smt::LinExpr(vars_[static_cast<std::size_t>(field)]),
                   smt::LinExpr(value));
       solver_->add(pin_f);
-      absint_learn(pin_f);
       if (plan_attempt) {
         const int c = plan_->field_cluster[static_cast<std::size_t>(field)];
         if (c >= 0 && cluster_solvers_[static_cast<std::size_t>(c)]) {
@@ -691,9 +670,7 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
                 mix_pin(cfp[static_cast<std::size_t>(c)], kPinTagPin, field,
                         value);
           }
-          cs.add(
-              smt::eq(smt::LinExpr(vars_[static_cast<std::size_t>(field)]),
-                      smt::LinExpr(value)));
+          cs.add(pin_f);
           cluster_dirty[static_cast<std::size_t>(c)] = 1;
           cluster_state[static_cast<std::size_t>(c)] =
               replaying ? static_cast<signed char>(-1)
@@ -707,19 +684,8 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
 
     // Satisfiability of the pinned state itself (prompt feasibility and the
     // kHull post-pin hole check), memoized on the fingerprint alone.
-    const auto pinned_state_feasible = [&]() -> bool {
-      if (!use_cache) return sat_under_policy({});
-      if (const auto v =
-              cache_.lookup(QueryKind::kPinned, fp, -1, 0, 0)) {
-        if (*v == smt::CheckResult::kSat) return true;
-        if (*v == smt::CheckResult::kUnsat) return false;
-        ++result.stats.unknown_checks;
-        return unknown_is_feasible;
-      }
-      const smt::CheckResult r = check_under_policy({});
-      cache_.store(QueryKind::kPinned, fp, -1, 0, 0, r);
-      if (r == smt::CheckResult::kUnknown) return unknown_is_feasible;
-      return r == smt::CheckResult::kSat;
+    const auto pinned_state_feasible = [&] {
+      return admitted(*solver_, {}, QueryKind::kPinned, fp, -1, 0, 0);
     };
 
     // Plan attempts: is cluster d's pinned state satisfiable? A sliced query
@@ -730,78 +696,28 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
     // cluster's own fingerprint under a key field that cannot collide with
     // real fields (>= 0) or the global pinned-state key (-1).
     const auto cluster_feasible = [&](std::size_t d) -> bool {
-      if (cluster_state[d] == 1) return true;
-      if (cluster_state[d] == 0) return false;
-      smt::Backend* const cs = cluster_solvers_[d].get();
-      bool ok = true;
-      if (cs == nullptr) {
-        // Fully prompt-determined cluster: its pins passed the prompt
-        // feasibility check, and nothing since could have touched it.
-      } else if (use_cache) {
-        const int key_field = -(static_cast<int>(d) + 2);
-        if (const auto v =
-                cache_.lookup(QueryKind::kPinned, cfp[d], key_field, 0, 0)) {
-          if (*v == smt::CheckResult::kUnknown) {
-            ++result.stats.unknown_checks;
-            ok = unknown_is_feasible;
-          } else {
-            ok = *v == smt::CheckResult::kSat;
-          }
-        } else {
-          const smt::CheckResult r = check_on(*cs, {});
-          cache_.store(QueryKind::kPinned, cfp[d], key_field, 0, 0, r);
-          ok = r == smt::CheckResult::kSat ||
-               (r == smt::CheckResult::kUnknown && unknown_is_feasible);
-        }
-      } else {
-        const smt::CheckResult r = check_on(*cs, {});
-        ok = r == smt::CheckResult::kSat ||
-             (r == smt::CheckResult::kUnknown && unknown_is_feasible);
+      if (cluster_state[d] == -1) {
+        // A null slice is a fully prompt-determined cluster: its pins passed
+        // the prompt feasibility check, and nothing since could touch it.
+        smt::Backend* const cs = cluster_solvers_[d].get();
+        const bool ok = cs == nullptr ||
+                        admitted(*cs, {}, QueryKind::kPinned, cfp[d],
+                                 -(static_cast<int>(d) + 2), 0, 0);
+        cluster_state[d] = ok ? 1 : 0;
       }
-      cluster_state[d] = ok ? 1 : 0;
-      return ok;
+      return cluster_state[d] == 1;
     };
 
     // Advance the walk over one legal character; pins fields as they complete.
     const auto advance = [&](char c) {
-      if (walk.in_suffix(layout_)) {
-        LEJIT_ASSERT(layout_.suffix[walk.suffix_pos] == c, "suffix mismatch");
-        ++walk.suffix_pos;
-        return;
-      }
-      const auto& spec = layout_.fields[static_cast<std::size_t>(walk.field)];
-      if (walk.prefix_pos < spec.prefix.size()) {
-        LEJIT_ASSERT(spec.prefix[walk.prefix_pos] == c, "prefix mismatch");
-        ++walk.prefix_pos;
-        return;
-      }
-      if (c >= '0' && c <= '9') {
-        walk.digits = walk.digits.extended(c - '0');
-        return;
-      }
-      // Any other character terminates the field.
-      LEJIT_ASSERT(!walk.digits.empty(), "field terminated without digits");
-      pin_field(walk.field, walk.digits.value, walk.digits.digits);
-      field_hull.reset();
-      ++walk.field;
-      walk.digits = DigitPrefix{};
-      if (walk.field < layout_.num_fields()) {
-        LEJIT_ASSERT(
-            layout_.fields[static_cast<std::size_t>(walk.field)]
-                    .prefix.front() == c,
-            "terminator does not open the next field");
-        walk.prefix_pos = 1;
-      } else {
-        LEJIT_ASSERT(layout_.suffix.front() == c,
-                     "terminator is not the suffix");
-        walk.suffix_pos = 1;
+      if (const auto done = walk.step(layout_, c)) {
+        pin_field(done->field, done->digits.value, done->digits.digits);
+        field_hull.reset();
       }
     };
 
     // Consume the prompt (its values are given, not generated: no look-ahead).
     for (const char c : prompt) {
-      LEJIT_REQUIRE(tokenizer_.has_char(c),
-                    "prompt character outside alphabet");
       advance(c);
       context.push_back(tokenizer_.encode_char(c));
       text.push_back(c);
@@ -927,113 +843,78 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
         }
       }
 
-      // Absint prefilter (DESIGN.md §16): consult this attempt's abstract
-      // state before the cache and before any solver work. The abstraction
-      // only ever refutes, and a refutation is a proof, so a hit masks out
-      // exactly the candidates the solver would have rejected — decoded text
-      // is bit-identical with the prefilter on or off. One global state
-      // serves plan cluster slices too: rules and pins only touch the fields
-      // they reference, so per-field the state already equals the refinement
-      // under that field's cluster alone.
-      const bool absint_live = absint_on_ && mode == GuidanceMode::kFull;
-      const auto absint_refutes_completion = [&](const DigitPrefix& p) {
-        if (!absint_live) return false;
-        ++result.stats.absint_checks;
-        if (absint::completion_admitted(
-                absint_state_[static_cast<std::size_t>(walk.field)], p.value,
-                p.digits, max_digits))
-          return false;
-        ++result.stats.absint_hits;
-        return true;
-      };
-      const auto absint_refutes_value = [&](Int value) {
-        if (!absint_live) return false;
-        ++result.stats.absint_checks;
-        if (absint::admits_value(
-                absint_state_[static_cast<std::size_t>(walk.field)], value))
-          return false;
-        ++result.stats.absint_hits;
-        return true;
-      };
-
-      // Candidate feasibility in kFull mode with caching: the absint
-      // prefilter, then interval arithmetic, then the verdict memo, then the
-      // solver. `exact` answers from the early tiers match what the solver
-      // would say, so masks — and therefore decoded text — are bit-identical
-      // to the uncached path.
-      const auto cached_completion_feasible = [&](const DigitPrefix& p) {
-        if (absint_refutes_completion(p)) return false;
-        // Completions that miss the hull are infeasible (the hull is the
-        // feasible set's interval over-approximation); ones containing a
-        // known-feasible value are feasible.
-        if (!completion_intersects(p, max_digits, full_hull->bounds)) {
-          if (obs::metrics_enabled()) hull_conclusive_counter().inc();
-          return false;
-        }
-        for (const Int w : full_hull->witnesses)
-          if (completion_contains(p, max_digits, w)) {
-            if (obs::metrics_enabled()) hull_conclusive_counter().inc();
-            return true;
+      // The one probe chain (DESIGN.md §9.2): is some completion of `p`
+      // (kCompletion) or the exact value of `p` (kExact) still feasible?
+      // Stages run in a fixed order, and the first that can answer does:
+      //   1. plan: every other cluster satisfiable, the digit table's never
+      //      and always bits for `table_bit`, and the declared domain of a
+      //      field no rule references;
+      //   2. hull (cache on): refute a probe that misses the hull, admit one
+      //      holding a witness or an exact hull's endpoint;
+      //   3. the verdict memo (cache on), then 4. the answering solver under
+      //      the kUnknown policy (both in admitted()).
+      // Every stage agrees with what the solver would answer, so the mask,
+      // and therefore the decoded text, does not depend on which one did.
+      const auto feasible = [&](QueryKind kind, const DigitPrefix& p,
+                                int table_bit) {
+        const bool is_exact = kind == QueryKind::kExact;
+        const auto meets = [&](const smt::Interval& iv) {
+          return is_exact ? iv.contains(p.value)
+                          : completion_intersects(p, max_digits, iv);
+        };
+        const auto holds = [&](Int v) {
+          return is_exact ? v == p.value
+                          : completion_contains(p, max_digits, v);
+        };
+        if (plan_attempt) {
+          if (!others_ok) return false;
+          const int k = walk.digits.digits;
+          if (table && table->row_verified(k)) {
+            // never is monotone-sound under any pins/bans (they only
+            // remove completions); always needs the clean-cluster gate.
+            if (table->never_bit(k, table_bit)) {
+              ++result.stats.plan_table_hits;
+              return false;
+            }
+            if (always_ok && table->always_bit(k, table_bit)) {
+              ++result.stats.plan_table_hits;
+              return true;
+            }
           }
-        if (full_hull->exact &&
-            (completion_contains(p, max_digits, full_hull->bounds.lo) ||
-             completion_contains(p, max_digits, full_hull->bounds.hi))) {
-          // Exact-hull endpoints are feasible by construction.
-          if (obs::metrics_enabled()) hull_conclusive_counter().inc();
-          return true;
+          // No rule references this field: completability against the
+          // declared domain is the exact verdict, solver-free.
+          if (plan_cluster == -1)
+            return meets(smt::Interval{0, spec.max_value});
+          ++result.stats.plan_sliced_queries;
+          result.stats.plan_sliced_rules +=
+              cluster_live_rules_[static_cast<std::size_t>(plan_cluster)];
         }
-        if (const auto v = cache_.lookup(QueryKind::kCompletion, qfp,
-                                         walk.field, p.value, p.digits)) {
-          if (*v == smt::CheckResult::kSat) return true;
-          if (*v == smt::CheckResult::kUnsat) return false;
-          ++result.stats.unknown_checks;
-          return unknown_is_feasible;
-        }
-        const smt::Formula f = prefix_completion_formula(var, p, max_digits);
-        const smt::CheckResult r = check_on(*qsolver, std::span(&f, 1));
-        cache_.store(QueryKind::kCompletion, qfp, walk.field, p.value,
-                     p.digits, r);
-        if (r == smt::CheckResult::kSat) {
-          // Backends may lose the model (e.g. a degraded external check);
-          // a missing witness is only a cache miss, never an error.
-          if (const auto w = qsolver->model_value(var))
-            full_hull->add_witness(*w);
-          return true;
-        }
-        if (r == smt::CheckResult::kUnknown) return unknown_is_feasible;
-        return false;
-      };
-
-      // Same tiers for pinning the field to its exact current value.
-      const auto cached_exact_feasible = [&](Int value) {
-        if (absint_refutes_value(value)) return false;
-        if (!full_hull->bounds.contains(value)) {
-          if (obs::metrics_enabled()) hull_conclusive_counter().inc();
-          return false;
-        }
-        if (full_hull->has_witness(value) ||
-            (full_hull->exact && (value == full_hull->bounds.lo ||
-                                  value == full_hull->bounds.hi))) {
-          if (obs::metrics_enabled()) hull_conclusive_counter().inc();
-          return true;
-        }
-        if (const auto v = cache_.lookup(QueryKind::kExact, qfp, walk.field,
-                                         value, 0)) {
-          if (*v == smt::CheckResult::kSat) return true;
-          if (*v == smt::CheckResult::kUnsat) return false;
-          ++result.stats.unknown_checks;
-          return unknown_is_feasible;
+        if (use_cache) {
+          const smt::Interval& b = full_hull->bounds;
+          const bool refuted = !meets(b);
+          if (refuted ||
+              std::ranges::any_of(full_hull->witnesses, holds) ||
+              (full_hull->exact && (holds(b.lo) || holds(b.hi)))) {
+            if (obs::metrics_enabled()) hull_conclusive_counter().inc();
+            return !refuted;
+          }
         }
         const smt::Formula f =
-            smt::eq(smt::LinExpr(var), smt::LinExpr(value));
-        const smt::CheckResult r = check_on(*qsolver, std::span(&f, 1));
-        cache_.store(QueryKind::kExact, qfp, walk.field, value, 0, r);
-        if (r == smt::CheckResult::kSat) {
-          full_hull->add_witness(value);
-          return true;
+            is_exact ? smt::eq(smt::LinExpr(var), smt::LinExpr(p.value))
+                     : prefix_completion_formula(var, p, max_digits);
+        bool live_sat = false;
+        const bool ok = admitted(*qsolver, std::span(&f, 1), kind, qfp,
+                                 walk.field, p.value, is_exact ? 0 : p.digits,
+                                 &live_sat);
+        if (live_sat && use_cache) {
+          // Backends may lose the model (e.g. a degraded external check);
+          // a missing witness is only a cache miss, never an error.
+          if (is_exact)
+            full_hull->add_witness(p.value);
+          else if (const auto w = qsolver->model_value(var))
+            full_hull->add_witness(*w);
         }
-        if (r == smt::CheckResult::kUnknown) return unknown_is_feasible;
-        return false;
+        return ok;
       };
 
       // Digits that keep some completion reachable.
@@ -1042,119 +923,23 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
         const DigitPrefix next = walk.digits.extended(d);
         if (!prefix_syntactically_ok(next, max_digits)) continue;
         if (mode == GuidanceMode::kFull) {
-          if (plan_attempt) {
-            if (!others_ok) continue;
-            const int k = walk.digits.digits;
-            if (table && table->row_verified(k)) {
-              // never is monotone-sound under any pins/bans (they only
-              // remove completions); always needs the clean-cluster gate.
-              if (table->never_bit(k, d)) {
-                ++result.stats.plan_table_hits;
-                continue;
-              }
-              if (always_ok && table->always_bit(k, d)) {
-                ++result.stats.plan_table_hits;
-                allow(static_cast<char>('0' + d));
-                continue;
-              }
-            }
-            if (plan_cluster == -1) {
-              // No rule references this field: completability against the
-              // declared domain is the exact verdict, solver-free.
-              if (!completion_intersects(
-                      next, max_digits,
-                      smt::Interval{0, spec.max_value}))
-                continue;
-            } else {
-              ++result.stats.plan_sliced_queries;
-              result.stats.plan_sliced_rules += cluster_live_rules_[
-                  static_cast<std::size_t>(plan_cluster)];
-              if (use_cache) {
-                if (!cached_completion_feasible(next)) continue;
-              } else {
-                if (absint_refutes_completion(next)) continue;
-                const smt::Formula f =
-                    prefix_completion_formula(var, next, max_digits);
-                if (!sat_on(*qsolver, std::span(&f, 1))) continue;
-              }
-            }
-          } else if (use_cache) {
-            if (!cached_completion_feasible(next)) continue;
-          } else {
-            if (absint_refutes_completion(next)) continue;
-            const smt::Formula f =
-                prefix_completion_formula(var, next, max_digits);
-            if (!sat_under_policy(std::span(&f, 1))) continue;
-          }
+          if (!feasible(QueryKind::kCompletion, next, d)) continue;
         } else if (mode == GuidanceMode::kHull) {
           if (!completion_intersects(next, max_digits, *field_hull)) continue;
         }
         allow(static_cast<char>('0' + d));
       }
-      // Terminating the field on its exact current value.
+      // Terminating the field on its exact current value. A banned value
+      // must not be re-pinned, whichever mode is active (kFull would also
+      // learn this from the asserted ban).
       if (!walk.digits.empty()) {
-        bool can_end = true;
-        // A banned value must not be re-pinned, whichever mode is active
-        // (kFull would also learn this from the asserted ban).
-        for (const auto& [bf, bv] : banned) {
-          if (bf == walk.field && bv == walk.digits.value) {
-            can_end = false;
-            break;
-          }
-        }
-        if (can_end && mode == GuidanceMode::kFull) {
-          if (plan_attempt) {
-            if (!others_ok) {
-              can_end = false;
-            } else {
-              const int k = walk.digits.digits;
-              bool decided = false;
-              if (table && table->row_verified(k)) {
-                if (table->never_bit(k, plan::kTerminatorBit)) {
-                  ++result.stats.plan_table_hits;
-                  can_end = false;
-                  decided = true;
-                } else if (always_ok &&
-                           table->always_bit(k, plan::kTerminatorBit)) {
-                  ++result.stats.plan_table_hits;
-                  decided = true;  // can_end stays true
-                }
-              }
-              if (!decided) {
-                if (plan_cluster == -1) {
-                  // Unreferenced field: pinning to any in-domain value is
-                  // exactly as satisfiable as the rest of the state, which
-                  // others_ok just vouched for.
-                  can_end = walk.digits.value <= spec.max_value;
-                } else {
-                  ++result.stats.plan_sliced_queries;
-                  result.stats.plan_sliced_rules += cluster_live_rules_[
-                      static_cast<std::size_t>(plan_cluster)];
-                  if (use_cache) {
-                    can_end = cached_exact_feasible(walk.digits.value);
-                  } else if (absint_refutes_value(walk.digits.value)) {
-                    can_end = false;
-                  } else {
-                    const smt::Formula f =
-                        smt::eq(smt::LinExpr(var),
-                                smt::LinExpr(walk.digits.value));
-                    can_end = sat_on(*qsolver, std::span(&f, 1));
-                  }
-                }
-              }
-            }
-          } else if (use_cache) {
-            can_end = cached_exact_feasible(walk.digits.value);
-          } else if (absint_refutes_value(walk.digits.value)) {
-            can_end = false;
-          } else {
-            const smt::Formula f =
-                smt::eq(smt::LinExpr(var), smt::LinExpr(walk.digits.value));
-            can_end = sat_under_policy(std::span(&f, 1));
-          }
-        } else if (can_end && mode == GuidanceMode::kHull) {
+        const std::pair<int, Int> pin{walk.field, walk.digits.value};
+        bool can_end = std::ranges::find(banned, pin) == banned.end();
+        if (can_end && mode == GuidanceMode::kFull)
+          can_end = feasible(QueryKind::kExact, walk.digits,
+                             plan::kTerminatorBit);
+        else if (can_end && mode == GuidanceMode::kHull)
           can_end = field_hull->contains(walk.digits.value);
-        }
         if (can_end) allow(walk.terminator(layout_));
       }
       return legal;

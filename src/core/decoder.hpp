@@ -30,7 +30,6 @@
 #include <memory>
 #include <vector>
 
-#include "absint/absint.hpp"
 #include "core/feasibility_cache.hpp"
 #include "lint/lint.hpp"
 #include "lm/lm.hpp"
@@ -135,15 +134,6 @@ struct DecoderConfig {
   std::optional<plan::DecodePlan> plan{};
   bool compile_plan = false;
   plan::Config plan_config{};
-  // Abstract-interpretation prefilter (DESIGN.md §16). When on, the
-  // constructor runs absint::analyze over the rule set once; kFull decoding
-  // keeps a per-attempt abstract state (refined by prompt pins and recovery
-  // bans) and consults it before every completion/exact feasibility check.
-  // The abstraction only ever refutes — and a refutation is a proof — so a
-  // hit skips the FeasibilityCache and the solver entirely while decoded
-  // text stays bit-identical for a fixed seed (ctest-gated). The analysis
-  // intervals also tighten the cache's static hulls. CLI: --no-absint.
-  bool absint = true;
 };
 
 struct DecodeStats {
@@ -162,9 +152,11 @@ struct DecodeStats {
   // (plan_sliced_queries · |rule set|) this is the mean fraction of the rule
   // set a sliced query dragged through the solver.
   std::int64_t plan_sliced_rules = 0;
-  // Absint prefilter effect (zero unless DecoderConfig::absint drove kFull):
-  std::int64_t absint_checks = 0;  // feasibility queries the prefilter saw
-  std::int64_t absint_hits = 0;    // queries it refuted without solver/cache
+  // Always 0: the decode-time absint prefilter these counted was removed
+  // (DESIGN.md §16.2). Kept because the repository benchmark still reads
+  // them.
+  std::int64_t absint_checks = 0;
+  std::int64_t absint_hits = 0;
 
   // Mean probability mass the mask removed per masked step (0 ⇒ the solver
   // never had to override the LM).
@@ -287,16 +279,6 @@ class GuidedDecoder {
   std::uint64_t slice_prompt_mask_ = ~std::uint64_t{0};  // sentinel: unbuilt
   smt::SolverStats retired_cluster_stats_;  // stats of discarded slice solvers
   smt::BackendStats retired_cluster_backend_stats_;
-
-  // --- absint prefilter state (config_.absint, DESIGN.md §16) ---
-  // Rule-set fixpoint computed once at construction; each attempt copies it
-  // into absint_state_ and refines with that attempt's pins and bans. One
-  // global state serves both the full solver and plan cluster slices: rules
-  // and pins only ever touch the fields they reference, so per-field the
-  // state equals the refinement under that field's cluster alone.
-  bool absint_on_ = false;
-  std::vector<absint::AbsVal> absint_base_;
-  std::vector<absint::AbsVal> absint_state_;
 };
 
 }  // namespace lejit::core

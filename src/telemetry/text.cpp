@@ -1,5 +1,6 @@
 #include "telemetry/text.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/strings.hpp"
@@ -112,12 +113,15 @@ std::optional<Window> parse_row(std::string_view row, const RowLayout& layout) {
   }
   if (!rest.empty()) return std::nullopt;
 
-  w.total = values[0];
-  w.ecn = values[1];
-  w.rtx = values[2];
-  w.conn = values[3];
-  w.egress = values[4];
-  w.fine.assign(values.begin() + kNumCoarse, values.end());
+  // Layouts with fewer fields than the schema (e.g. tiny test layouts) fill
+  // only the coarse slots they have and carry no fine series.
+  Int* const coarse[kNumCoarse] = {&w.total, &w.ecn, &w.rtx, &w.conn,
+                                   &w.egress};
+  const std::size_t n_coarse =
+      std::min(values.size(), static_cast<std::size_t>(kNumCoarse));
+  for (std::size_t i = 0; i < n_coarse; ++i) *coarse[i] = values[i];
+  w.fine.assign(values.begin() + static_cast<std::ptrdiff_t>(n_coarse),
+                values.end());
   return w;
 }
 

@@ -104,20 +104,6 @@ if [ "$?" != 1 ] || ! grep -q "E_" verify_bad.txt; then
   exit 1
 fi
 
-# Abstract-interpretation prefilter (DESIGN.md §16): on by default, it must
-# refute real feasibility probes (decode.absint.prefilter_hits in the
-# metrics export) without changing a single decoded byte vs --no-absint —
-# the abstraction only ever refutes, and a refutation is a proof.
-run absint-metrics grep -q "decode.absint.prefilter_hits" metrics.json
-STAGE=synth-no-absint
-echo "[cli_smoke] stage: $STAGE" >&2
-if ! "$CLI" synth --model model.bin --rules rules.txt --count 6 --seed 9 \
-      --no-absint 2>/dev/null > rows_noabsint.txt; then
-  echo "[cli_smoke] FAILED at stage: $STAGE" >&2
-  exit 1
-fi
-run absint-bit-identical cmp rows.txt rows_noabsint.txt
-
 # Decoding with --verify-plan engages the verifier as a load gate and must
 # not change a single decoded byte.
 STAGE=synth-verified-plan

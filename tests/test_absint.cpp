@@ -1,7 +1,6 @@
 // lejit::absint — the product domain (interval × congruence × known-bits),
 // its reduced-product normalization, the NNF transfer functions, the rule-set
-// fixpoint, the differential soundness harness, and the decoder prefilter's
-// bit-identity gate (DESIGN.md §16).
+// fixpoint, and the differential soundness harness (DESIGN.md §16).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,14 +9,9 @@
 
 #include "absint/absint.hpp"
 #include "absint/diff.hpp"
-#include "core/decoder.hpp"
-#include "lm/ngram.hpp"
-#include "rules/miner.hpp"
 #include "rules/parser.hpp"
 #include "smt/backend.hpp"
 #include "smt/solver.hpp"
-#include "telemetry/generator.hpp"
-#include "util/rng.hpp"
 
 namespace lejit::absint {
 namespace {
@@ -314,87 +308,6 @@ TEST(AbsintDiff, InjectedUnsoundDomainIsCaught) {
   EXPECT_GT(report.mismatches, 0) << diff::to_text(report);
   EXPECT_NE(report.first_mismatch.find("(check-sat)"), std::string::npos);
   EXPECT_NE(report.first_mismatch.find("declare"), std::string::npos);
-}
-
-// --- decoder prefilter: bit-identity + effectiveness -------------------------
-
-struct DecEnv {
-  telemetry::Dataset dataset;
-  telemetry::RowLayout layout;
-  lm::CharTokenizer tokenizer{telemetry::row_alphabet()};
-  std::unique_ptr<lm::NgramModel> model;
-  rules::RuleSet mined;
-};
-
-const DecEnv& dec_env() {
-  static const DecEnv e = [] {
-    DecEnv out;
-    out.dataset = telemetry::generate_dataset(telemetry::GeneratorConfig{
-        .num_racks = 10, .windows_per_rack = 40, .seed = 77});
-    out.layout = telemetry::telemetry_row_layout(out.dataset.limits);
-    const auto windows = telemetry::all_windows(out.dataset);
-    out.model = std::make_unique<lm::NgramModel>(
-        out.tokenizer.vocab_size(), lm::NgramConfig{.order = 6});
-    for (const auto& w : windows)
-      out.model->observe(out.tokenizer.encode(telemetry::window_to_row(w)));
-    out.mined = rules::mine_rules(windows, out.layout, out.dataset.limits).rules;
-    return out;
-  }();
-  return e;
-}
-
-core::DecoderConfig with_absint(bool on, bool cache) {
-  core::DecoderConfig config{.mode = core::GuidanceMode::kFull};
-  config.cache = cache;
-  config.absint = on;
-  return config;
-}
-
-// The acceptance gate: 64 seeded rows, absint prefilter on vs off, both
-// cache settings — every observable of the decode must be identical, and the
-// prefilter must actually have fired.
-TEST(AbsintPrefilter, SixtyFourSeededRowsAreBitIdentical) {
-  for (const bool cache : {true, false}) {
-    core::GuidedDecoder with(*dec_env().model, dec_env().tokenizer,
-                             dec_env().layout, dec_env().mined,
-                             with_absint(true, cache));
-    core::GuidedDecoder without(*dec_env().model, dec_env().tokenizer,
-                                dec_env().layout, dec_env().mined,
-                                with_absint(false, cache));
-    std::int64_t hits = 0;
-    std::int64_t checks = 0;
-    for (int seed = 0; seed < 32; ++seed) {
-      util::Rng a(static_cast<std::uint64_t>(seed));
-      util::Rng b(static_cast<std::uint64_t>(seed));
-      const core::DecodeResult ra = with.generate(a);
-      const core::DecodeResult rb = without.generate(b);
-      ASSERT_EQ(ra.text, rb.text) << "cache " << cache << " seed " << seed;
-      EXPECT_EQ(ra.ok, rb.ok);
-      EXPECT_EQ(ra.recoveries, rb.recoveries);
-      EXPECT_EQ(ra.stats.interventions, rb.stats.interventions);
-      hits += ra.stats.absint_hits;
-      checks += ra.stats.absint_checks;
-      EXPECT_EQ(rb.stats.absint_checks, 0);
-    }
-    EXPECT_GT(checks, 0) << "cache " << cache;
-    EXPECT_GT(hits, 0) << "cache " << cache;
-  }
-}
-
-// An absint-infeasible rule set must fail the decode the same way the
-// solver-driven path does (never crash, never emit a row).
-TEST(AbsintPrefilter, InfeasibleRuleSetStillFailsCleanly) {
-  const auto l = dec_env().layout;
-  const auto parsed = rules::parse_rules(
-      "total >= 10\n"
-      "total <= 5\n",
-      l);
-  ASSERT_TRUE(parsed.ok());
-  core::GuidedDecoder dec(*dec_env().model, dec_env().tokenizer, l,
-                          parsed.rules, with_absint(true, true));
-  util::Rng rng(1);
-  const core::DecodeResult r = dec.generate(rng);
-  EXPECT_FALSE(r.ok);
 }
 
 }  // namespace

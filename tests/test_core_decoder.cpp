@@ -4,6 +4,7 @@
 #include "lm/ngram.hpp"
 #include "rules/checker.hpp"
 #include "rules/miner.hpp"
+#include "rules/parser.hpp"
 #include "telemetry/generator.hpp"
 
 namespace lejit::core {
@@ -208,6 +209,29 @@ TEST(GuidedDecoder, InfeasiblePromptIsReportedNotGenerated) {
   const DecodeResult r = dec.generate(rng, "T=0 E=12 R=0 C=50 G=0|");
   EXPECT_TRUE(r.infeasible_prompt);
   EXPECT_FALSE(r.ok);
+}
+
+TEST(GuidedDecoder, InfeasibleRuleSetFailsCleanly) {
+  // A contradictory rule set fails the decode under the default
+  // configuration: no crash, no row.
+  const auto parsed =
+      rules::parse_rules("total >= 10\ntotal <= 5\n", env().layout);
+  ASSERT_TRUE(parsed.ok());
+  GuidedDecoder dec(*env().model, env().tokenizer, env().layout, parsed.rules);
+  util::Rng rng(1);
+  EXPECT_FALSE(dec.generate(rng).ok);
+}
+
+TEST(GuidedDecoder, PromptOutsideAlphabetIsAPrecondition) {
+  // The alphabet is checked before any syntax walk: '#' would otherwise
+  // trip the walk's terminator invariant first.
+  DecoderConfig config;
+  config.compile_plan = true;
+  GuidedDecoder dec(*env().model, env().tokenizer, env().layout, env().mined,
+                    std::move(config));
+  ASSERT_TRUE(dec.decode_plan() && dec.decode_plan()->active());
+  util::Rng rng(1);
+  EXPECT_THROW(dec.generate(rng, "T=1#"), util::PreconditionError);
 }
 
 // --- hull-only guidance (the "no exact look-ahead" ablation) -----------------

@@ -13,10 +13,13 @@
 //   5. Decoding with a plan (fresh or cluster-merged) is bit-identical to
 //      decoding without one, while actually serving table hits and sliced
 //      queries.
+//   6. Layouts with fewer fields than the telemetry schema parse, and decode
+//      alike in every cache × plan mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "core/transition.hpp"
 #include "lm/ngram.hpp"
 #include "plan/plan.hpp"
+#include "rules/checker.hpp"
 #include "rules/miner.hpp"
 #include "rules/rule.hpp"
 #include "smt/formula.hpp"
@@ -469,6 +473,56 @@ TEST(PlanDecode, LoadedArtifactMatchesCompiledPlan) {
     EXPECT_EQ(loaded.generate(ra).text, direct.generate(rb).text)
         << "seed " << seed;
   }
+}
+
+// --- layouts smaller than the telemetry schema ------------------------------
+
+TEST(TinyLayout, ParseRowFillsOnlyTheFieldsItHas) {
+  const std::optional<Window> w =
+      telemetry::parse_row("T=1 E=2", two_field_layout());
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(w->total, 1);
+  EXPECT_EQ(w->ecn, 2);
+  EXPECT_EQ(w->rtx, 0);
+  EXPECT_TRUE(w->fine.empty());
+}
+
+TEST(TinyLayout, DecodesAlikeInEveryCacheAndPlanMode) {
+  // Three fields, the last referenced by no rule, so plan attempts answer
+  // it from its declared domain.
+  telemetry::RowLayout layout = two_field_layout();
+  layout.fields.push_back({" R=", "z", 99, false});
+  const smt::VarId x{0};
+  const smt::VarId y{1};
+  rules::RuleSet set;
+  set.rules.push_back(make_rule(
+      "x + y <= 120", smt::le(smt::LinExpr(x) + smt::LinExpr(y),
+                              smt::LinExpr(120))));
+  set.rules.push_back(make_rule(
+      "y >= 10", smt::le(smt::LinExpr(10), smt::LinExpr(y))));
+
+  std::vector<std::string> reference;
+  std::int64_t table_hits = 0;
+  for (const bool cache : {false, true})
+    for (const bool use_plan : {false, true}) {
+      DecoderConfig cfg{.mode = GuidanceMode::kFull};
+      cfg.cache = cache;
+      cfg.compile_plan = use_plan;
+      GuidedDecoder dec(*env().model, env().tokenizer, layout, set,
+                        std::move(cfg));
+      for (int seed = 0; seed < 16; ++seed) {
+        util::Rng rng(static_cast<std::uint64_t>(seed));
+        const DecodeResult r = dec.generate(rng);
+        ASSERT_TRUE(r.ok && r.window) << "seed " << seed;
+        EXPECT_TRUE(rules::violated_rules(set, *r.window).empty())
+            << r.text;
+        if (reference.size() < 16) reference.push_back(r.text);
+        EXPECT_EQ(r.text, reference[static_cast<std::size_t>(seed)])
+            << "cache " << cache << " plan " << use_plan << " seed " << seed;
+        table_hits += r.stats.plan_table_hits;
+      }
+    }
+  EXPECT_GT(table_hits, 0);
 }
 
 }  // namespace

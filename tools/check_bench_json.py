@@ -49,14 +49,6 @@ REQUIRED_BACKEND_ABLATION_KEYS = ("subprocess_available", "bit_identical",
                                   "degraded_backend")
 REQUIRED_BACKEND_STATS_KEYS = ("checks", "faults", "spawn_failures",
                                "respawns", "degraded")
-# Absint ablation block (--compare-absint): the abstract-interpretation
-# prefilter on/off runs of the mined workload. Optional in a report (pre-
-# absint reports stay valid) but must be complete when present.
-REQUIRED_ABSINT_ABLATION_KEYS = ("bit_identical", "prefilter_checks",
-                                 "prefilter_hits", "solver_checks_on",
-                                 "solver_checks_off", "propagations_on",
-                                 "propagations_off", "ms_per_sample_on",
-                                 "ms_per_sample_off")
 # Serve sweep block (--compare-serve): the batched serving runtime's
 # worker x batch throughput sweep, each configuration checked bit-identical
 # against the sequential decode (BENCH_8.json, figure serve_throughput).
@@ -181,13 +173,6 @@ def check_report(doc, errors, where):
                             err(f"backend_ablation.{block} is missing {key!r}")
         elif backend_ablation is not None:
             err("backend_ablation is not an object")
-        absint_ablation = doc.get("absint_ablation")
-        if isinstance(absint_ablation, dict):
-            for key in REQUIRED_ABSINT_ABLATION_KEYS:
-                if key not in absint_ablation:
-                    err(f"absint_ablation is missing {key!r}")
-        elif absint_ablation is not None:
-            err("absint_ablation is not an object")
 
 
 def check_file(path):
@@ -316,53 +301,6 @@ def check_backend_ablation(path):
     return errors
 
 
-def check_absint_ablation(path):
-    """Gate on the fig3 absint ablation: decodes must be bit-identical with
-    the abstract-interpretation prefilter on vs off (a refutation is a proof,
-    so the prefilter may never change what gets decoded), the prefilter must
-    actually refute something (prefilter_hits > 0), and it must reduce the
-    number of solver checks over the workload. A missing FILE or a report
-    that predates the absint layer is a clean skip (exit 0), never a
-    traceback — baselines regenerate on their own cadence.
-    Returns a list of error strings (empty = pass or skip)."""
-    p = pathlib.Path(path)
-    if not p.exists():
-        print(f"{path}: no report to compare against; skipping absint gate")
-        return []
-    errors = check_file(path)
-    if errors:
-        return errors
-    doc = json.loads(p.read_text())
-    ablation = doc.get("absint_ablation")
-    if not isinstance(ablation, dict):
-        print(f"{path}: report predates the absint prefilter; "
-              "skipping absint gate")
-        return []
-    errors = []
-    if ablation.get("bit_identical") is not True:
-        errors.append(f"{path}: absint on/off decodes are not bit-identical")
-    hits = int(ablation.get("prefilter_hits", 0))
-    checks = int(ablation.get("prefilter_checks", 0))
-    if hits <= 0:
-        errors.append(f"{path}: absint prefilter never refuted a probe "
-                      "(decode.absint.prefilter_hits == 0)")
-    if checks < hits:
-        errors.append(f"{path}: absint prefilter accounting is broken "
-                      f"({hits} hits out of {checks} checks)")
-    s_on = int(ablation.get("solver_checks_on", 0))
-    s_off = int(ablation.get("solver_checks_off", 0))
-    if s_off <= 0:
-        errors.append(f"{path}: absint-off solver check count missing or zero")
-    elif s_on >= s_off:
-        errors.append(f"{path}: absint prefilter did not reduce solver checks "
-                      f"({s_on} with prefilter vs {s_off} without)")
-    if not errors:
-        print(f"{path}: absint ablation ok — bit-identical, prefilter "
-              f"refuted {hits}/{checks} probes, solver checks "
-              f"{s_off} -> {s_on}")
-    return errors
-
-
 def check_serve(path):
     """Gate on the serve throughput sweep (BENCH_8.json): every worker x
     batch configuration must decode bit-identically to the sequential
@@ -473,13 +411,6 @@ def self_test():
                                  "spawn_failures": 4, "respawns": 0,
                                  "degraded": 900},
         },
-        "absint_ablation": {
-            "bit_identical": True,
-            "prefilter_checks": 800, "prefilter_hits": 150,
-            "solver_checks_on": 750, "solver_checks_off": 900,
-            "propagations_on": 110000, "propagations_off": 120000,
-            "ms_per_sample_on": 12.2, "ms_per_sample_off": 12.5,
-        },
         "tables": [{"title": "t", "headers": ["a", "b"],
                     "rows": [["1", "2"]]}],
         "metrics": {"counters": {"smt.checks": 900}, "gauges": {},
@@ -515,7 +446,6 @@ def self_test():
         {**good, "backend_ablation": {
             **good["backend_ablation"],
             "degraded_backend": {"checks": 1}}},  # stats block incomplete
-        {**good, "absint_ablation": {"bit_identical": True}},  # incomplete
     ]
     for i, bad in enumerate(bad_documents):
         errors = []
@@ -543,20 +473,6 @@ def self_test():
         print("self-test FAILED: missing serve report did not skip cleanly",
               file=sys.stderr)
         return False
-    # Same contract for the absint gate: a missing baseline and a report
-    # that predates the block are both clean skips, never failures.
-    if check_absint_ablation("/nonexistent/self-test/BENCH_10.json"):
-        print("self-test FAILED: missing absint report did not skip cleanly",
-              file=sys.stderr)
-        return False
-    errors = []
-    check_report({k: v for k, v in good.items() if k != "absint_ablation"},
-                 errors, "self-test-no-absint-block")
-    if errors:
-        print("self-test FAILED: report without absint_ablation rejected",
-              file=sys.stderr)
-        return False
-
     # The serve gate itself: a good sweep passes, a mismatched or width-less
     # one fails.
     import tempfile
@@ -599,28 +515,6 @@ def self_test():
                       file=sys.stderr)
                 return False
 
-    # The absint gate itself: the known-good document passes; a decode
-    # mismatch, a prefilter that never fired, and a prefilter that failed to
-    # shed any solver checks must each fail.
-    bad_absints = [
-        {**good["absint_ablation"], "bit_identical": False},
-        {**good["absint_ablation"], "prefilter_hits": 0},
-        {**good["absint_ablation"], "solver_checks_on": 900},
-        {**good["absint_ablation"], "prefilter_hits": 1000},  # hits > checks
-    ]
-    with tempfile.TemporaryDirectory() as tmp:
-        p = pathlib.Path(tmp) / "BENCH_10.json"
-        p.write_text(json.dumps(good))
-        if check_absint_ablation(p):
-            print("self-test FAILED: known-good absint ablation rejected",
-                  file=sys.stderr)
-            return False
-        for i, bad in enumerate(bad_absints):
-            p.write_text(json.dumps({**good, "absint_ablation": bad}))
-            if not check_absint_ablation(p):
-                print(f"self-test FAILED: known-bad absint ablation {i} "
-                      "accepted", file=sys.stderr)
-                return False
     print("self-test passed")
     return True
 
@@ -648,12 +542,6 @@ def main():
                              " degraded rows and realized batching; a missing"
                              " FILE or a report without the block is a clear"
                              " skip")
-    parser.add_argument("--compare-absint", metavar="FILE",
-                        help="validate FILE and fail unless its"
-                             " absint_ablation shows bit-identical decodes,"
-                             " prefilter hits observed, and fewer solver"
-                             " checks with the prefilter on; a missing FILE"
-                             " or a report without the block is a clear skip")
     parser.add_argument("--compare-backend", metavar="FILE",
                         help="validate FILE and fail unless its"
                              " backend_ablation shows subprocess/degraded"
@@ -684,12 +572,6 @@ def main():
             print(e, file=sys.stderr)
         ok = not errors and ok
 
-    if args.compare_absint:
-        errors = check_absint_ablation(args.compare_absint)
-        for e in errors:
-            print(e, file=sys.stderr)
-        ok = not errors and ok
-
     if args.compare_backend:
         errors = check_backend_ablation(args.compare_backend)
         for e in errors:
@@ -701,10 +583,10 @@ def main():
         files.extend(sorted(pathlib.Path(args.scan).rglob("BENCH_*.json")))
     if not files and not args.self_test and not args.compare_cache \
             and not args.compare_plan and not args.compare_serve \
-            and not args.compare_absint and not args.compare_backend:
+            and not args.compare_backend:
         parser.error("nothing to do: pass files, --scan, --compare-cache, "
-                     "--compare-plan, --compare-serve, --compare-absint, "
-                     "--compare-backend, or --self-test")
+                     "--compare-plan, --compare-serve, --compare-backend, "
+                     "or --self-test")
 
     for path in files:
         errors = check_file(path)

@@ -238,10 +238,6 @@ core::DecoderConfig decoder_config_from_args(const Args& args,
   config.solver.max_nodes = args.get_int("max-nodes", config.solver.max_nodes);
   config.resilience = resilience_from_args(args);
   config.cache = !args.has("no-solver-cache");
-  // Abstract-interpretation prefilter (DESIGN.md §16): refutation-only, so
-  // decodes are bit-identical either way; --no-absint exists for perf A/B
-  // runs and debugging, mirroring --no-solver-cache.
-  config.absint = !args.has("no-absint");
   // Solver substrate (DESIGN.md §12): in-process minismt, or an external
   // SMT-LIB2 subprocess with automatic degradation back to minismt.
   config.backend =
@@ -786,9 +782,6 @@ void usage() {
       "  --no-solver-cache    disable incremental solver reuse + feasibility\n"
       "                       caching (decodes are bit-identical either way;\n"
       "                       this exists for perf A/B runs and debugging)\n"
-      "  --no-absint          disable the abstract-interpretation prefilter\n"
-      "                       in front of the solver/cache (bit-identical\n"
-      "                       either way; for perf A/B runs and debugging)\n"
       "  --lint               lint the rule set at load time and refuse to\n"
       "                       decode if it has errors (lint_on_load); clean\n"
       "                       sets seed the feasibility cache's static hulls\n"

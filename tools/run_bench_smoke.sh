@@ -1,12 +1,11 @@
 #!/bin/sh
 # Bench smoke test: run bench_fig3_runtime on a tiny --smoke configuration,
 # validate the emitted JSON against the schema checker, and gate on the
-# four ablations: cache (on/off decodes bit-identical; cached path no more
+# three ablations: cache (on/off decodes bit-identical; cached path no more
 # than 10% slower than uncached), decode plan (on/off decodes bit-identical;
-# table hits and sliced queries observed; fewer solver propagations), solver
-# backend (subprocess/degraded decodes bit-identical to in-process; the
-# degradation ladder engaged), and absint (prefilter on/off decodes
-# bit-identical; prefilter hits observed; fewer solver checks).
+# table hits and sliced queries observed; fewer solver propagations), and
+# solver backend (subprocess/degraded decodes bit-identical to in-process;
+# the degradation ladder engaged).
 #
 # Usage: run_bench_smoke.sh BENCH_BINARY CHECKER_PY OUT_JSON [PYTHON3]
 set -u
@@ -33,5 +32,4 @@ run validate "$PY" "$CHECKER" "$OUT"
 run compare-cache "$PY" "$CHECKER" --compare-cache "$OUT"
 run compare-plan "$PY" "$CHECKER" --compare-plan "$OUT"
 run compare-backend "$PY" "$CHECKER" --compare-backend "$OUT"
-run compare-absint "$PY" "$CHECKER" --compare-absint "$OUT"
 echo "[bench_smoke] all stages passed" >&2
