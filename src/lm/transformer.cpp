@@ -47,6 +47,29 @@ struct Param {
   }
 };
 
+// LayerNorm of one d-vector, the one LayerNorm of both forwards. Training
+// passes `xhat` and `rstd_out` to keep them for backward; inference passes
+// nullptr.
+void layer_norm(const float* x, const Param& gamma, const Param& beta, int d,
+                float* out, float* xhat = nullptr, float* rstd_out = nullptr) {
+  float mean = 0.0f;
+  for (int i = 0; i < d; ++i) mean += x[i];
+  mean /= static_cast<float>(d);
+  float var = 0.0f;
+  for (int i = 0; i < d; ++i) {
+    const float c = x[i] - mean;
+    var += c * c;
+  }
+  var /= static_cast<float>(d);
+  const float rstd = 1.0f / std::sqrt(var + 1e-5f);
+  for (int i = 0; i < d; ++i)
+    out[i] = (x[i] - mean) * rstd * gamma.w.data[static_cast<std::size_t>(i)] +
+             beta.w.data[static_cast<std::size_t>(i)];
+  if (xhat == nullptr) return;
+  *rstd_out = rstd;
+  for (int i = 0; i < d; ++i) xhat[i] = (x[i] - mean) * rstd;
+}
+
 // LayerNorm forward over rows of x; caches xhat and rstd for backward.
 struct LnCache {
   Mat xhat;
@@ -59,26 +82,38 @@ void ln_forward(const Mat& x, const Param& gamma, const Param& beta, Mat& out,
   if (out.rows != s || out.cols != d) out = Mat(s, d);
   cache.xhat = Mat(s, d);
   cache.rstd.assign(static_cast<std::size_t>(s), 0.0f);
-  for (int t = 0; t < s; ++t) {
-    const float* xt = x.row(t);
-    float mean = 0.0f;
-    for (int i = 0; i < d; ++i) mean += xt[i];
-    mean /= static_cast<float>(d);
-    float var = 0.0f;
-    for (int i = 0; i < d; ++i) {
-      const float c = xt[i] - mean;
-      var += c * c;
-    }
-    var /= static_cast<float>(d);
-    const float rstd = 1.0f / std::sqrt(var + 1e-5f);
-    cache.rstd[static_cast<std::size_t>(t)] = rstd;
-    float* xh = cache.xhat.row(t);
-    float* ot = out.row(t);
-    for (int i = 0; i < d; ++i) {
-      xh[i] = (xt[i] - mean) * rstd;
-      ot[i] = xh[i] * gamma.w.data[static_cast<std::size_t>(i)] +
-              beta.w.data[static_cast<std::size_t>(i)];
-    }
+  for (int t = 0; t < s; ++t)
+    layer_norm(x.row(t), gamma, beta, d, out.row(t), cache.xhat.row(t),
+               &cache.rstd[static_cast<std::size_t>(t)]);
+}
+
+// Causal attention of one query row q for one head, over the n positions
+// whose key and value rows start at k and v, `stride` floats apart:
+// out += sum_u att[u] * v_u with att = softmax(scale * q.k_u). Leaves the
+// normalized weights in att[0, n). The training forward reads K/V from its
+// qkv rows and keeps the weights for backward; decode reads the session's
+// KvCache. Both get the same products in the same order.
+void attend(const float* q, const float* k, const float* v, std::size_t stride,
+            int n, int dh, float scale, float* att, float* out) {
+  float maxv = -1e30f;
+  for (int u = 0; u < n; ++u) {
+    const float* ku = k + static_cast<std::size_t>(u) * stride;
+    float acc = 0.0f;
+    for (int i = 0; i < dh; ++i) acc += q[i] * ku[i];
+    att[u] = acc * scale;
+    maxv = std::max(maxv, att[u]);
+  }
+  float total = 0.0f;
+  for (int u = 0; u < n; ++u) {
+    att[u] = std::exp(att[u] - maxv);
+    total += att[u];
+  }
+  const float inv = 1.0f / total;
+  for (int u = 0; u < n; ++u) {
+    const float a = att[u] * inv;
+    att[u] = a;
+    const float* vu = v + static_cast<std::size_t>(u) * stride;
+    for (int i = 0; i < dh; ++i) out[i] += a * vu[i];
   }
 }
 
@@ -152,6 +187,20 @@ struct ForwardCache {
   Mat logits;
 };
 
+// Build the START-prefixed input ids and the targets for one row, capped to
+// the model's context length.
+void make_training_pair(const std::vector<int>& row, int max_seq, int start_id,
+                        std::vector<int>& ids, std::vector<int>& targets) {
+  LEJIT_REQUIRE(!row.empty(), "empty training row");
+  const std::size_t keep =
+      std::min(row.size(), static_cast<std::size_t>(max_seq - 1));
+  ids.clear();
+  ids.reserve(keep);
+  ids.push_back(start_id);
+  for (std::size_t i = 0; i + 1 < keep; ++i) ids.push_back(row[i]);
+  targets.assign(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(keep));
+}
+
 }  // namespace
 
 struct Transformer::Impl {
@@ -174,13 +223,10 @@ struct Transformer::Impl {
   // Lazily size a cache for this model and reject caches shaped for another.
   void ensure_cache_shape(KvCache& kv) const;
 
-  // Incremental forward: reuse cached K/V for the common prefix of `ids`,
-  // process only the new suffix, return logits at the last position.
-  std::vector<float> decode_logits(const std::vector<int>& ids,
-                                   KvCache& kv) const;
-
-  // Batched incremental forward over independent (ids, cache) sessions;
-  // bit-identical per session to decode_logits (see batch_vec_matmul).
+  // The one inference forward, over independent (ids, cache) sessions: reuse
+  // each cache's K/V for the common prefix of its ids, process only the new
+  // suffix, return logits at the last position. Sequential decode is the
+  // batch of one.
   std::vector<std::vector<float>> decode_logits_batch(
       std::span<const std::vector<int>> ids_list,
       std::span<KvCache* const> caches) const;
@@ -266,34 +312,12 @@ struct Transformer::Impl {
       lc.att.assign(static_cast<std::size_t>(nh), Mat(s, s));
       lc.ctx = Mat(s, d);
       for (int h = 0; h < nh; ++h) {
-        Mat& att = lc.att[static_cast<std::size_t>(h)];
-        const int qo = h * dh, ko = d + h * dh, vo = 2 * d + h * dh;
-        for (int t = 0; t < s; ++t) {
-          const float* qt = lc.qkv.row(t) + qo;
-          float* at = att.row(t);
-          float maxv = -1e30f;
-          for (int u = 0; u <= t; ++u) {
-            const float* ku = lc.qkv.row(u) + ko;
-            float acc = 0.0f;
-            for (int i = 0; i < dh; ++i) acc += qt[i] * ku[i];
-            at[u] = acc * scale;
-            maxv = std::max(maxv, at[u]);
-          }
-          float total = 0.0f;
-          for (int u = 0; u <= t; ++u) {
-            at[u] = std::exp(at[u] - maxv);
-            total += at[u];
-          }
-          const float inv = 1.0f / total;
-          for (int u = 0; u <= t; ++u) at[u] *= inv;
-          // Weighted sum of values.
-          float* ct = lc.ctx.row(t) + qo;
-          for (int u = 0; u <= t; ++u) {
-            const float a = at[u];
-            const float* vu = lc.qkv.row(u) + vo;
-            for (int i = 0; i < dh; ++i) ct[i] += a * vu[i];
-          }
-        }
+        const int qo = h * dh;
+        for (int t = 0; t < s; ++t)
+          attend(lc.qkv.row(t) + qo, lc.qkv.row(0) + d + qo,
+                 lc.qkv.row(0) + 2 * d + qo, static_cast<std::size_t>(3 * d),
+                 t + 1, dh, scale, lc.att[static_cast<std::size_t>(h)].row(t),
+                 lc.ctx.row(t) + qo);
       }
 
       matmul(lc.ctx, lp.w_o.w, tmp);
@@ -489,61 +513,75 @@ struct Transformer::Impl {
   void zero_grads() {
     for (Param* p : all_params()) p->g.zero();
   }
+
+  // Zeroes the gradients, then accumulates those of the mean next-token loss
+  // over `rows`; returns that mean loss.
+  float accumulate_gradients(std::span<const std::vector<int>> rows) {
+    zero_grads();
+    double total_loss = 0.0;
+    std::vector<int> ids, targets;
+    for (const auto& row : rows) {
+      make_training_pair(row, cfg.max_seq, cfg.vocab_size, ids, targets);
+      ForwardCache fc;
+      forward(ids, fc);
+      Mat dlogits;
+      total_loss += loss_and_dlogits(fc, targets, dlogits);
+      // Scale gradient by 1/batch for a mean-loss step.
+      const float inv_b = 1.0f / static_cast<float>(rows.size());
+      for (float& g : dlogits.data) g *= inv_b;
+      backward(fc, dlogits);
+    }
+    return static_cast<float>(total_loss / static_cast<double>(rows.size()));
+  }
 };
 
 namespace {
 
-// LayerNorm of one d-vector.
-void ln_vec(const float* x, const Param& gamma, const Param& beta, int d,
-            float* out) {
-  float mean = 0.0f;
-  for (int i = 0; i < d; ++i) mean += x[i];
-  mean /= static_cast<float>(d);
-  float var = 0.0f;
-  for (int i = 0; i < d; ++i) {
-    const float c = x[i] - mean;
-    var += c * c;
-  }
-  const float rstd = 1.0f / std::sqrt(var / static_cast<float>(d) + 1e-5f);
-  for (int i = 0; i < d; ++i)
-    out[i] = (x[i] - mean) * rstd * gamma.w.data[static_cast<std::size_t>(i)] +
-             beta.w.data[static_cast<std::size_t>(i)];
-}
-
-// out = vec(1×m) · W(m×n) + b
-void vec_matmul(const float* vec, const Mat& w, const Param& b, int m, int n,
-                float* out) {
-  for (int j = 0; j < n; ++j) out[j] = b.w.data[static_cast<std::size_t>(j)];
-  for (int i = 0; i < m; ++i) {
-    const float vi = vec[i];
-    if (vi == 0.0f) continue;
-    const float* wr = w.row(i);
-    for (int j = 0; j < n; ++j) out[j] += vi * wr[j];
-  }
-}
-
-// Batched vec_matmul: out[s] = in[s](1×m) · W(m×n) + b for every session s,
-// with ONE sweep over W serving all sessions (the batched-forward win: the
-// weight row loaded for position i is reused across the whole batch instead
-// of being re-streamed per row). For each session the per-element float
-// operations — bias first, ascending-i accumulation, the vi == 0 skip —
-// happen in exactly the order vec_matmul uses, so each out[s] is
-// bit-identical to vec_matmul(in[s], ...). That identity is what lets the
-// serve runtime promise batched == sequential decoding.
+// The inference linear kernel: out[s] = in[s](1×m) · W(m×n) + b for every
+// session s. Each out[s][j] starts from the bias and adds in[s][i] * W[i][j]
+// in ascending i, skipping in[s][i] == 0, whatever the batch; that is what
+// lets the serve runtime promise batched == sequential decoding. W is walked
+// in strips of eight columns that stay in L1 across the sessions; each keeps
+// its eight sums in registers over all m rows, so the inner loop stores
+// nothing. A store per element there makes the forward's speed depend on
+// where the heap puts activations relative to the weights (1.4-2x apart).
+//
+// Training keeps its own linear kernel, matmul() then add_bias(), which adds
+// the bias last. Float addition is not associative, so merging the two would
+// change the bytes of either every trained checkpoint or every decoded row.
 void batch_vec_matmul(std::span<const float* const> in, const Mat& w,
                       const Param& b, int m, int n,
                       std::span<float* const> out) {
-  const std::size_t ns = in.size();
-  for (std::size_t s = 0; s < ns; ++s)
-    for (int j = 0; j < n; ++j)
-      out[s][j] = b.w.data[static_cast<std::size_t>(j)];
-  for (int i = 0; i < m; ++i) {
-    const float* wr = w.row(i);
-    for (std::size_t s = 0; s < ns; ++s) {
-      const float vi = in[s][i];
-      if (vi == 0.0f) continue;
-      float* os = out[s];
-      for (int j = 0; j < n; ++j) os[j] += vi * wr[j];
+  const float* bias = b.w.data.data();
+  int j = 0;
+  for (; j + 8 <= n; j += 8) {
+    for (std::size_t s = 0; s < in.size(); ++s) {
+      float a0 = bias[j], a1 = bias[j + 1], a2 = bias[j + 2],
+            a3 = bias[j + 3], a4 = bias[j + 4], a5 = bias[j + 5],
+            a6 = bias[j + 6], a7 = bias[j + 7];
+      for (int i = 0; i < m; ++i) {
+        const float vi = in[s][i];
+        if (vi == 0.0f) continue;
+        const float* wr = w.row(i) + j;
+        a0 += vi * wr[0];
+        a1 += vi * wr[1];
+        a2 += vi * wr[2];
+        a3 += vi * wr[3];
+        a4 += vi * wr[4];
+        a5 += vi * wr[5];
+        a6 += vi * wr[6];
+        a7 += vi * wr[7];
+      }
+      const float sums[] = {a0, a1, a2, a3, a4, a5, a6, a7};
+      std::copy(sums, sums + 8, out[s] + j);
+    }
+  }
+  for (; j < n; ++j) {  // the last n % 8 columns
+    for (std::size_t s = 0; s < in.size(); ++s) {
+      float a = bias[j];
+      for (int i = 0; i < m; ++i)
+        if (in[s][i] != 0.0f) a += in[s][i] * w.row(i)[j];
+      out[s][j] = a;
     }
   }
 }
@@ -624,102 +662,14 @@ void Transformer::Impl::ensure_cache_shape(KvCache& kv) const {
                 "KvCache was sized for a different model");
 }
 
-std::vector<float> Transformer::Impl::decode_logits(const std::vector<int>& ids,
-                                                    KvCache& kv) const {
-  const int d = cfg.d_model;
-  const int nh = cfg.n_heads;
-  const int dh = d / nh;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-
-  ensure_cache_shape(kv);
-
-  // Longest common prefix with the cached context; always reprocess the last
-  // token so the residual stream for the query position is available.
-  const std::size_t common = kv_common_prefix(kv, ids);
-  record_kv_counters(static_cast<std::int64_t>(common),
-                     static_cast<std::int64_t>(ids.size() - common));
-
-  std::vector<float> x(static_cast<std::size_t>(d));
-  std::vector<float> norm(static_cast<std::size_t>(d));
-  std::vector<float> qkv(static_cast<std::size_t>(3 * d));
-  std::vector<float> ctx(static_cast<std::size_t>(d));
-  std::vector<float> attn_out(static_cast<std::size_t>(d));
-  std::vector<float> ff(static_cast<std::size_t>(cfg.d_ff));
-  std::vector<float> ff_out(static_cast<std::size_t>(d));
-  std::vector<float> att;
-
-  for (std::size_t pos = common; pos < ids.size(); ++pos) {
-    const int t = static_cast<int>(pos);
-    const float* e = tok_emb.w.row(ids[pos]);
-    const float* p = pos_emb.w.row(t);
-    for (int i = 0; i < d; ++i) x[static_cast<std::size_t>(i)] = e[i] + p[i];
-
-    for (int li = 0; li < cfg.n_layers; ++li) {
-      const LayerParams& lp = layers[static_cast<std::size_t>(li)];
-      Mat& kc = kv.k[static_cast<std::size_t>(li)];
-      Mat& vc = kv.v[static_cast<std::size_t>(li)];
-
-      ln_vec(x.data(), lp.ln1_g, lp.ln1_b, d, norm.data());
-      vec_matmul(norm.data(), lp.w_qkv.w, lp.b_qkv, d, 3 * d, qkv.data());
-      // Append this position's K and V to the cache.
-      std::copy(qkv.begin() + d, qkv.begin() + 2 * d, kc.row(t));
-      std::copy(qkv.begin() + 2 * d, qkv.begin() + 3 * d, vc.row(t));
-
-      std::fill(ctx.begin(), ctx.end(), 0.0f);
-      att.assign(pos + 1, 0.0f);
-      for (int h = 0; h < nh; ++h) {
-        const int off = h * dh;
-        const float* q = qkv.data() + off;
-        float maxv = -1e30f;
-        for (std::size_t u = 0; u <= pos; ++u) {
-          const float* ku = kc.row(static_cast<int>(u)) + off;
-          float acc = 0.0f;
-          for (int i = 0; i < dh; ++i) acc += q[i] * ku[i];
-          att[u] = acc * scale;
-          maxv = std::max(maxv, att[u]);
-        }
-        float total = 0.0f;
-        for (std::size_t u = 0; u <= pos; ++u) {
-          att[u] = std::exp(att[u] - maxv);
-          total += att[u];
-        }
-        const float inv = 1.0f / total;
-        float* ch = ctx.data() + off;
-        for (std::size_t u = 0; u <= pos; ++u) {
-          const float a = att[u] * inv;
-          const float* vu = vc.row(static_cast<int>(u)) + off;
-          for (int i = 0; i < dh; ++i) ch[i] += a * vu[i];
-        }
-      }
-      vec_matmul(ctx.data(), lp.w_o.w, lp.b_o, d, d, attn_out.data());
-      for (int i = 0; i < d; ++i)
-        x[static_cast<std::size_t>(i)] += attn_out[static_cast<std::size_t>(i)];
-
-      ln_vec(x.data(), lp.ln2_g, lp.ln2_b, d, norm.data());
-      vec_matmul(norm.data(), lp.w_fc1.w, lp.b_fc1, d, cfg.d_ff, ff.data());
-      for (float& v : ff) v = gelu(v);
-      vec_matmul(ff.data(), lp.w_fc2.w, lp.b_fc2, cfg.d_ff, d, ff_out.data());
-      for (int i = 0; i < d; ++i)
-        x[static_cast<std::size_t>(i)] += ff_out[static_cast<std::size_t>(i)];
-    }
-  }
-
-  ln_vec(x.data(), lnf_g, lnf_b, d, norm.data());
-  std::vector<float> logits(static_cast<std::size_t>(cfg.vocab_size));
-  vec_matmul(norm.data(), w_out.w, b_out, d, cfg.vocab_size, logits.data());
-  return logits;
-}
-
-// Cross-session batched decode. Sessions advance position-by-position in
-// lockstep: at every step, the per-position weight matmuls of all sessions
-// that still have unprocessed positions are fused into batch_vec_matmul
-// calls, while the scalar stages (LayerNorm, attention over the session's
-// own KV cache, GELU, residuals) run per session with the exact code shape
-// of decode_logits. Sessions with shorter suffixes simply drop out of the
-// active set early; the final LN + output projection is batched over all
-// sessions at the end. Per-session arithmetic order is identical to the
-// sequential path throughout, so each returned row is bit-identical to what
-// decode_logits would produce for that (ids, cache) pair.
+// Sessions advance position by position in lockstep. At every step the weight
+// matmuls of all sessions that still have unprocessed positions are fused
+// into batch_vec_matmul calls, while LayerNorm, attention over the session's
+// own KV cache, GELU and the residuals run per session. A session whose
+// suffix is done drops out of the active set, its row of x holding the
+// residual stream of its last position; the final LayerNorm and the output
+// projection run over all sessions at the end. No operation mixes two
+// sessions' values, so a session's logits do not depend on its batch.
 std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
     std::span<const std::vector<int>> ids_list,
     std::span<KvCache* const> caches) const {
@@ -749,8 +699,7 @@ std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
   Mat attn_out(static_cast<int>(ns), d);
   Mat ff(static_cast<int>(ns), cfg.d_ff);
   Mat ff_out(static_cast<int>(ns), d);
-  Mat final_x(static_cast<int>(ns), d);
-  std::vector<float> att;
+  std::vector<float> att(static_cast<std::size_t>(cfg.max_seq));
 
   std::vector<std::size_t> active;
   std::vector<const float*> in_ptrs;
@@ -765,6 +714,18 @@ std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
     }
     batch_vec_matmul(in_ptrs, w, b, m, n, out_ptrs);
   };
+  const auto layer_norm_rows = [&](const Param& gamma, const Param& beta) {
+    for (const std::size_t s : active)
+      layer_norm(x.row(static_cast<int>(s)), gamma, beta, d,
+                 norm.row(static_cast<int>(s)));
+  };
+  const auto add_residual = [&](const Mat& branch) {
+    for (const std::size_t s : active) {
+      float* xs = x.row(static_cast<int>(s));
+      const float* bs = branch.row(static_cast<int>(s));
+      for (int i = 0; i < d; ++i) xs[i] += bs[i];
+    }
+  };
 
   while (true) {
     active.clear();
@@ -773,9 +734,8 @@ std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
     if (active.empty()) break;
 
     for (const std::size_t s : active) {
-      const int t = static_cast<int>(pos[s]);
       const float* e = tok_emb.w.row(ids_list[s][pos[s]]);
-      const float* p = pos_emb.w.row(t);
+      const float* p = pos_emb.w.row(static_cast<int>(pos[s]));
       float* xs = x.row(static_cast<int>(s));
       for (int i = 0; i < d; ++i) xs[i] = e[i] + p[i];
     }
@@ -783,108 +743,68 @@ std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
     for (int li = 0; li < cfg.n_layers; ++li) {
       const LayerParams& lp = layers[static_cast<std::size_t>(li)];
 
-      for (const std::size_t s : active)
-        ln_vec(x.row(static_cast<int>(s)), lp.ln1_g, lp.ln1_b, d,
-               norm.row(static_cast<int>(s)));
+      layer_norm_rows(lp.ln1_g, lp.ln1_b);
       batched(norm, lp.w_qkv.w, lp.b_qkv, d, 3 * d, qkv);
-
       for (const std::size_t s : active) {
-        const int si = static_cast<int>(s);
         const int t = static_cast<int>(pos[s]);
         Mat& kc = caches[s]->k[static_cast<std::size_t>(li)];
         Mat& vc = caches[s]->v[static_cast<std::size_t>(li)];
-        const float* sq = qkv.row(si);
+        // Append this position's K and V to the cache, then attend over it.
+        const float* sq = qkv.row(static_cast<int>(s));
         std::copy(sq + d, sq + 2 * d, kc.row(t));
         std::copy(sq + 2 * d, sq + 3 * d, vc.row(t));
-
-        float* cs = ctx.row(si);
+        float* cs = ctx.row(static_cast<int>(s));
         std::fill(cs, cs + d, 0.0f);
-        att.assign(pos[s] + 1, 0.0f);
-        for (int h = 0; h < nh; ++h) {
-          const int off = h * dh;
-          const float* q = sq + off;
-          float maxv = -1e30f;
-          for (std::size_t u = 0; u <= pos[s]; ++u) {
-            const float* ku = kc.row(static_cast<int>(u)) + off;
-            float acc = 0.0f;
-            for (int i = 0; i < dh; ++i) acc += q[i] * ku[i];
-            att[u] = acc * scale;
-            maxv = std::max(maxv, att[u]);
-          }
-          float total = 0.0f;
-          for (std::size_t u = 0; u <= pos[s]; ++u) {
-            att[u] = std::exp(att[u] - maxv);
-            total += att[u];
-          }
-          const float inv = 1.0f / total;
-          float* ch = cs + off;
-          for (std::size_t u = 0; u <= pos[s]; ++u) {
-            const float a = att[u] * inv;
-            const float* vu = vc.row(static_cast<int>(u)) + off;
-            for (int i = 0; i < dh; ++i) ch[i] += a * vu[i];
-          }
-        }
+        for (int h = 0; h < nh; ++h)
+          attend(sq + h * dh, kc.row(0) + h * dh, vc.row(0) + h * dh,
+                 static_cast<std::size_t>(d), t + 1, dh, scale, att.data(),
+                 cs + h * dh);
       }
       batched(ctx, lp.w_o.w, lp.b_o, d, d, attn_out);
-      for (const std::size_t s : active) {
-        const int si = static_cast<int>(s);
-        float* xs = x.row(si);
-        const float* ao = attn_out.row(si);
-        for (int i = 0; i < d; ++i) xs[i] += ao[i];
-      }
+      add_residual(attn_out);
 
-      for (const std::size_t s : active)
-        ln_vec(x.row(static_cast<int>(s)), lp.ln2_g, lp.ln2_b, d,
-               norm.row(static_cast<int>(s)));
+      layer_norm_rows(lp.ln2_g, lp.ln2_b);
       batched(norm, lp.w_fc1.w, lp.b_fc1, d, cfg.d_ff, ff);
       for (const std::size_t s : active) {
         float* fs = ff.row(static_cast<int>(s));
         for (int i = 0; i < cfg.d_ff; ++i) fs[i] = gelu(fs[i]);
       }
       batched(ff, lp.w_fc2.w, lp.b_fc2, cfg.d_ff, d, ff_out);
-      for (const std::size_t s : active) {
-        const int si = static_cast<int>(s);
-        float* xs = x.row(si);
-        const float* fo = ff_out.row(si);
-        for (int i = 0; i < d; ++i) xs[i] += fo[i];
-      }
+      add_residual(ff_out);
     }
 
-    for (const std::size_t s : active) {
-      ++pos[s];
-      if (pos[s] == end[s]) {
-        const int si = static_cast<int>(s);
-        std::copy(x.row(si), x.row(si) + d, final_x.row(si));
-      }
-    }
+    for (const std::size_t s : active) ++pos[s];
   }
 
   // Final LN per session, then one batched output projection over everyone
   // (w_out is the widest matrix in the model — the biggest single win).
-  active.clear();
   for (std::size_t s = 0; s < ns; ++s) active.push_back(s);
-  for (const std::size_t s : active)
-    ln_vec(final_x.row(static_cast<int>(s)), lnf_g, lnf_b, d,
-           norm.row(static_cast<int>(s)));
-
-  std::vector<std::vector<float>> out(
-      ns, std::vector<float>(static_cast<std::size_t>(cfg.vocab_size)));
-  in_ptrs.clear();
-  out_ptrs.clear();
-  for (std::size_t s = 0; s < ns; ++s) {
-    in_ptrs.push_back(norm.row(static_cast<int>(s)));
-    out_ptrs.push_back(out[s].data());
-  }
-  batch_vec_matmul(in_ptrs, w_out.w, b_out, d, cfg.vocab_size, out_ptrs);
+  layer_norm_rows(lnf_g, lnf_b);
+  Mat logits(static_cast<int>(ns), cfg.vocab_size);
+  batched(norm, w_out.w, b_out, d, cfg.vocab_size, logits);
+  std::vector<std::vector<float>> out;
+  for (int s = 0; s < logits.rows; ++s)
+    out.emplace_back(logits.row(s), logits.row(s) + logits.cols);
   return out;
 }
 
+namespace {
+
+// Whether a config describes a model: every dimension positive, a window of
+// at least two positions, and n_heads dividing d_model.
+bool dimensions_valid(const TransformerConfig& c) {
+  return c.vocab_size > 0 && c.d_model > 0 && c.n_layers > 0 &&
+         c.n_heads > 0 && c.d_ff > 0 && c.max_seq > 1 &&
+         c.d_model % c.n_heads == 0;
+}
+
+}  // namespace
+
 Transformer::Transformer(TransformerConfig config, util::Rng& rng)
     : config_(config), impl_(std::make_unique<Impl>()) {
-  LEJIT_REQUIRE(config.vocab_size > 0, "vocab_size must be positive");
-  LEJIT_REQUIRE(config.d_model % config.n_heads == 0,
-                "d_model must be divisible by n_heads");
-  LEJIT_REQUIRE(config.max_seq > 1, "max_seq must exceed 1");
+  LEJIT_REQUIRE(dimensions_valid(config),
+                "transformer dimensions must be positive, max_seq must "
+                "exceed 1 and n_heads must divide d_model");
   impl_->cfg = config;
   impl_->init(rng);
 }
@@ -931,14 +851,8 @@ void record_forward(std::int64_t t0) {
 }  // namespace
 
 std::vector<float> Transformer::logits(std::span<const int> context) const {
-  fault::inject(fault::Site::kLmForward);
   const ReentrancyGuard guard(impl_->logits_owner);
-  const bool obs_on = obs::metrics_enabled();
-  const std::int64_t t0 = obs_on ? obs::now_ns() : 0;
-  std::vector<float> out =
-      impl_->decode_logits(window_context(config_, context), impl_->cache);
-  if (obs_on) record_forward(t0);
-  return out;
+  return logits(context, impl_->cache);
 }
 
 std::vector<float> Transformer::logits(std::span<const int> context,
@@ -946,8 +860,10 @@ std::vector<float> Transformer::logits(std::span<const int> context,
   fault::inject(fault::Site::kLmForward);
   const bool obs_on = obs::metrics_enabled();
   const std::int64_t t0 = obs_on ? obs::now_ns() : 0;
+  const std::vector<int> ids = window_context(config_, context);
+  KvCache* const kv = &cache;
   std::vector<float> out =
-      impl_->decode_logits(window_context(config_, context), cache);
+      std::move(impl_->decode_logits_batch({&ids, 1}, {&kv, 1}).front());
   if (obs_on) record_forward(t0);
   return out;
 }
@@ -988,49 +904,34 @@ std::vector<std::vector<float>> Transformer::logits_batch(
   return out;
 }
 
-namespace {
-
-// Build the START-prefixed input ids and the targets for one row, capped to
-// the model's context length.
-void make_training_pair(const std::vector<int>& row, int max_seq, int start_id,
-                        std::vector<int>& ids, std::vector<int>& targets) {
-  LEJIT_REQUIRE(!row.empty(), "empty training row");
-  const std::size_t keep =
-      std::min(row.size(), static_cast<std::size_t>(max_seq - 1));
-  ids.clear();
-  ids.reserve(keep);
-  ids.push_back(start_id);
-  for (std::size_t i = 0; i + 1 < keep; ++i) ids.push_back(row[i]);
-  targets.assign(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(keep));
-}
-
-}  // namespace
-
 float Transformer::train_batch(std::span<const std::vector<int>> batch,
                                const AdamConfig& adam) {
   LEJIT_REQUIRE(!batch.empty(), "empty training batch");
-  impl_->zero_grads();
-  double total_loss = 0.0;
-  std::vector<int> ids, targets;
-  for (const auto& row : batch) {
-    make_training_pair(row, config_.max_seq, config_.vocab_size, ids, targets);
-    ForwardCache fc;
-    impl_->forward(ids, fc);
-    Mat dlogits;
-    total_loss += impl_->loss_and_dlogits(fc, targets, dlogits);
-    // Scale gradient by 1/batch for a mean-loss step.
-    const float inv_b = 1.0f / static_cast<float>(batch.size());
-    for (float& g : dlogits.data) g *= inv_b;
-    impl_->backward(fc, dlogits);
-  }
+  const float loss = impl_->accumulate_gradients(batch);
   impl_->adam_step(adam);
   impl_->invalidate_cache();
-  return static_cast<float>(total_loss / static_cast<double>(batch.size()));
+  return loss;
 }
 
 namespace {
+
 constexpr std::uint32_t kCheckpointMagic = 0x4C654A54;  // "LeJT"
 constexpr std::uint32_t kCheckpointVersion = 1;
+
+// Number of parameters a valid config implies, in 128 bits so that no
+// header's dimensions can wrap around to a plausible count.
+unsigned __int128 parameter_count(const TransformerConfig& c) {
+  using U128 = unsigned __int128;
+  const U128 v = static_cast<U128>(c.vocab_size);
+  const U128 d = static_cast<U128>(c.d_model);
+  const U128 f = static_cast<U128>(c.d_ff);
+  // ln1, qkv, out-proj, ln2, fc1 and fc2, weights and biases.
+  const U128 per_layer = 4 * d * d + 2 * d * f + 9 * d + f;
+  // Embeddings, final LayerNorm and output head, then the layers.
+  return (v + 1) * d + static_cast<U128>(c.max_seq) * d + 2 * d + d * v + v +
+         static_cast<U128>(c.n_layers) * per_layer;
+}
+
 }  // namespace
 
 void Transformer::save(const std::string& path) const {
@@ -1064,15 +965,26 @@ Transformer Transformer::load(const std::string& path) {
   if (get_u32() != kCheckpointVersion)
     throw util::RuntimeError("unsupported checkpoint version: " + path);
   TransformerConfig cfg;
-  cfg.vocab_size = static_cast<int>(get_u32());
-  cfg.d_model = static_cast<int>(get_u32());
-  cfg.n_layers = static_cast<int>(get_u32());
-  cfg.n_heads = static_cast<int>(get_u32());
-  cfg.d_ff = static_cast<int>(get_u32());
-  cfg.max_seq = static_cast<int>(get_u32());
+  for (int* field : {&cfg.vocab_size, &cfg.d_model, &cfg.n_layers,
+                     &cfg.n_heads, &cfg.d_ff, &cfg.max_seq})
+    *field = static_cast<int>(get_u32());
+  const std::uint32_t count = get_u32();
+  if (!in) throw util::RuntimeError("truncated checkpoint header: " + path);
+  // Check the header before allocating anything it sizes: valid dimensions,
+  // the parameter count they imply, and exactly that many floats after it.
+  if (!dimensions_valid(cfg))
+    throw util::RuntimeError("invalid checkpoint dimensions: " + path);
+  if (parameter_count(cfg) != count)
+    throw util::RuntimeError("checkpoint parameter count does not match its "
+                             "dimensions: " + path);
+  const std::streampos body = in.tellg();
+  in.seekg(0, std::ios::end);
+  if (in.tellg() - body != static_cast<std::streamoff>(sizeof(float)) * count)
+    throw util::RuntimeError("checkpoint size does not match its header: " +
+                             path);
+  in.seekg(body);
   util::Rng init_rng(0);
   Transformer model(cfg, init_rng);
-  const auto count = get_u32();
   std::vector<float> flat(count);
   in.read(reinterpret_cast<char*>(flat.data()),
           static_cast<std::streamsize>(flat.size() * sizeof(float)));
@@ -1105,24 +1017,11 @@ void Transformer::set_parameters_flat(std::span<const float> flat) {
 std::pair<float, std::vector<float>> Transformer::loss_and_gradient(
     std::span<const std::vector<int>> rows) {
   LEJIT_REQUIRE(!rows.empty(), "empty gradient batch");
-  impl_->zero_grads();
-  double total_loss = 0.0;
-  std::vector<int> ids, targets;
-  for (const auto& row : rows) {
-    make_training_pair(row, config_.max_seq, config_.vocab_size, ids, targets);
-    ForwardCache fc;
-    impl_->forward(ids, fc);
-    Mat dlogits;
-    total_loss += impl_->loss_and_dlogits(fc, targets, dlogits);
-    const float inv_b = 1.0f / static_cast<float>(rows.size());
-    for (float& g : dlogits.data) g *= inv_b;
-    impl_->backward(fc, dlogits);
-  }
+  const float loss = impl_->accumulate_gradients(rows);
   std::vector<float> grad;
   for (const Param* p : impl_->all_params())
     grad.insert(grad.end(), p->g.data.begin(), p->g.data.end());
-  return {static_cast<float>(total_loss / static_cast<double>(rows.size())),
-          std::move(grad)};
+  return {loss, std::move(grad)};
 }
 
 float Transformer::evaluate(std::span<const std::vector<int>> rows) const {

@@ -76,12 +76,13 @@ class Transformer final : public LanguageModel {
   // tokens). An empty context yields the unconditional first-token logits
   // (position 0 with a learned start embedding).
   //
-  // Decoding fast path: an internal KV cache makes repeated calls with
-  // growing contexts (the decoder's access pattern) O(context) instead of
-  // O(context²) per call. The cache is invisible semantically — logits are
-  // bit-identical to a cold forward pass — but makes logits() non-reentrant:
-  // a runtime guard aborts with a diagnostic if two threads overlap in here
-  // (use TransformerSession / the KvCache overloads to share a model).
+  // This is the inference forward of logits_batch() run on a batch of one.
+  // An internal KV cache makes repeated calls with growing contexts (the
+  // decoder's access pattern) O(context) instead of O(context²) per call.
+  // The cache is invisible semantically — logits are bit-identical to a
+  // cold forward pass — but makes logits() non-reentrant: a runtime guard
+  // aborts with a diagnostic if two threads overlap in here (use
+  // TransformerSession / the KvCache overloads to share a model).
   //
   // Cache-efficiency note (lm.kv.* counters): while the context is shorter
   // than max_seq-1 every step reuses the full cached prefix and recomputes
@@ -100,10 +101,10 @@ class Transformer final : public LanguageModel {
   // Cross-session batched forward (the serve runtime's hot path): decode the
   // next-token logits for N independent contexts in one pass, stacking the
   // per-position weight matmuls so one sweep over each weight matrix serves
-  // every session. `caches[i]` must be distinct per-session caches. The
-  // result for each session is bit-identical to logits(contexts[i]) — the
-  // batched kernel preserves the exact per-element float summation order of
-  // the sequential path — so batching is schedule-invisible by construction.
+  // every session. `caches[i]` must be distinct per-session caches. There is
+  // one inference forward and logits() is its batch of one; no operation
+  // mixes two sessions' values, so the result for each session is
+  // bit-identical to logits(contexts[i]) and batching is schedule-invisible.
   std::vector<std::vector<float>> logits_batch(
       std::span<const std::vector<int>> contexts,
       std::span<KvCache* const> caches) const;

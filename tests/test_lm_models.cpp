@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 
 #include "lm/ngram.hpp"
@@ -195,8 +196,7 @@ TEST(Transformer, KvCacheMatchesColdForward) {
   util::Rng ctx_rng(20);
   // Grow a context token by token (the decoder's access pattern), and
   // interleave unrelated contexts to force cache resets; every answer must
-  // match a freshly-constructed model's cold forward pass.
-  const Transformer cold(tiny_config(6), rng);  // different weights — not used
+  // be bit-identical to the cold forward pass of the same context.
   std::vector<int> ctx;
   for (int step = 0; step < 20; ++step) {
     ctx.push_back(static_cast<int>(ctx_rng.uniform_int(0, 5)));
@@ -205,31 +205,42 @@ TEST(Transformer, KvCacheMatchesColdForward) {
     // context first.
     std::vector<int> other(3, 0);
     (void)m.logits(other);
-    const auto recomputed = m.logits(ctx);
-    ASSERT_EQ(warm.size(), recomputed.size());
-    for (std::size_t i = 0; i < warm.size(); ++i)
-      EXPECT_NEAR(warm[i], recomputed[i], 1e-4f) << "step " << step;
+    EXPECT_EQ(warm, m.logits(ctx)) << "step " << step;
   }
 }
 
 TEST(Transformer, DecodePathAgreesWithTrainingPath) {
-  // The KV-cached decode path and the batched training forward are separate
-  // implementations; cross-check them through the loss: for a one-token row
-  // {t}, evaluate() returns the cross-entropy of the unconditional logits at
-  // target t, which must match -log softmax(logits({}))[t].
+  // The training forward runs a whole row through its own matmul, so it is
+  // an independent reference for the KV-cached decode path. Over a row's
+  // positions, the mean of -log softmax(logits(prefix))[next token] must
+  // match evaluate({row}). Rows of 1 to max_seq-1 tokens compare every
+  // position of both layers, up to attention over a full window.
   util::Rng rng(21);
   Transformer m(tiny_config(5), rng);
-  const auto logits = m.logits({});
-  double maxv = -1e30;
-  for (const float l : logits) maxv = std::max(maxv, static_cast<double>(l));
-  double total = 0;
-  for (const float l : logits) total += std::exp(static_cast<double>(l) - maxv);
-  for (int t = 0; t < 5; ++t) {
-    const std::vector<std::vector<int>> rows{{t}};
-    const double expected =
-        -(static_cast<double>(logits[static_cast<std::size_t>(t)]) - maxv -
-          std::log(total));
-    EXPECT_NEAR(m.evaluate(rows), expected, 1e-4) << "target " << t;
+  util::Rng toks(32);
+  const int max_len = tiny_config().max_seq - 1;
+  for (int len = 1; len <= max_len; ++len) {
+    for (int rep = 0; rep < 3; ++rep) {
+      std::vector<int> row;
+      for (int i = 0; i < len; ++i)
+        row.push_back(static_cast<int>(toks.uniform_int(0, 4)));
+      double total = 0.0;
+      for (int t = 0; t < len; ++t) {
+        const auto logits = m.logits(
+            std::span<const int>(row).first(static_cast<std::size_t>(t)));
+        double maxv = -1e30;
+        for (const float l : logits)
+          maxv = std::max(maxv, static_cast<double>(l));
+        double sum = 0.0;
+        for (const float l : logits)
+          sum += std::exp(static_cast<double>(l) - maxv);
+        const int next = row[static_cast<std::size_t>(t)];
+        total -= static_cast<double>(logits[static_cast<std::size_t>(next)]) -
+                 maxv - std::log(sum);
+      }
+      const std::vector<std::vector<int>> rows{row};
+      EXPECT_NEAR(m.evaluate(rows), total / len, 1e-4) << "length " << len;
+    }
   }
 }
 
@@ -265,6 +276,22 @@ TEST(Transformer, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.logits(ctx), original.logits(ctx));
 }
 
+// A checkpoint file: magic, version, the six dimensions in TransformerConfig
+// order, the parameter count, then `floats` zero floats.
+void write_checkpoint(const std::string& path,
+                      const std::vector<std::uint32_t>& dims,
+                      std::uint32_t count, std::size_t floats) {
+  std::vector<std::uint32_t> words{0x4C654A54, 1};
+  words.insert(words.end(), dims.begin(), dims.end());
+  words.push_back(count);
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(words.data()),
+            static_cast<std::streamsize>(words.size() * sizeof(std::uint32_t)));
+  const std::vector<float> zeros(floats, 0.0f);
+  out.write(reinterpret_cast<const char*>(zeros.data()),
+            static_cast<std::streamsize>(floats * sizeof(float)));
+}
+
 TEST(Transformer, LoadRejectsGarbage) {
   const std::string path = ::testing::TempDir() + "lejit_ckpt_garbage.bin";
   {
@@ -273,6 +300,20 @@ TEST(Transformer, LoadRejectsGarbage) {
   }
   EXPECT_THROW(Transformer::load(path), util::RuntimeError);
   EXPECT_THROW(Transformer::load("/nonexistent/path.bin"), util::RuntimeError);
+
+  // Headers that lie about the model: zero heads (a division by zero if it
+  // reached the constructor), and valid dimensions with a parameter count of
+  // 0 that the file matches.
+  util::Rng rng(33);
+  const auto n = static_cast<std::uint32_t>(
+      Transformer(tiny_config(5), rng).num_parameters());
+  write_checkpoint(path, {5, 16, 2, 0, 24, 12}, n, n);
+  EXPECT_THROW(Transformer::load(path), util::RuntimeError);
+  write_checkpoint(path, {5, 16, 2, 2, 24, 12}, 0, 0);
+  EXPECT_THROW(Transformer::load(path), util::RuntimeError);
+  // The same header with its parameters loads.
+  write_checkpoint(path, {5, 16, 2, 2, 24, 12}, n, n);
+  EXPECT_EQ(Transformer::load(path).num_parameters(), n);
 }
 
 // --- KV cache + batched decode ------------------------------------------------
