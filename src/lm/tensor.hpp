@@ -1,8 +1,10 @@
 // Minimal dense-matrix support for the transformer.
 //
 // Row-major float matrices with the three GEMM variants backprop needs.
-// Everything is sized for nano-scale models (d_model ≤ 128, seq ≤ 256), so
-// clarity beats blocking/vectorization tricks here.
+// Training runs these GEMMs, sized for nano-scale models (d_model ≤ 128,
+// seq ≤ 256), where clarity beats blocking/vectorization tricks. The
+// inference forward has its own register-tiled linear kernel in
+// transformer.cpp (DESIGN.md §13.3).
 #pragma once
 
 #include <span>

@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <numbers>
 #include <thread>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -87,33 +89,86 @@ void ln_forward(const Mat& x, const Param& gamma, const Param& beta, Mat& out,
                &cache.rstd[static_cast<std::size_t>(t)]);
 }
 
+// Four floats in one SSE register, the x86-64 baseline, as a GCC/Clang
+// vector type: + and * on it are addps and mulps, rounding each lane exactly
+// as the scalar operation would. Loads and stores are unaligned.
+typedef float V4 __attribute__((vector_size(16)));
+
+V4 load4(const float* p) {
+  V4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store4(float* p, V4 v) { std::memcpy(p, &v, sizeof v); }
+
 // Causal attention of one query row q for one head, over the n positions
 // whose key and value rows start at k and v, `stride` floats apart:
-// out += sum_u att[u] * v_u with att = softmax(scale * q.k_u). Leaves the
+// out = sum_u att[u] * v_u with att = softmax(scale * q.k_u). Leaves the
 // normalized weights in att[0, n). The training forward reads K/V from its
 // qkv rows and keeps the weights for backward; decode reads the session's
-// KvCache. Both get the same products in the same order.
+// KvCache.
+//
+// Each dot product sums q[i] * k_u[i] in ascending i; four keys run at once
+// as four independent chains. Each out[i] sums att[u] * v_u[i] from 0 in
+// ascending u, sixteen columns at a time held in registers across all keys.
 void attend(const float* q, const float* k, const float* v, std::size_t stride,
             int n, int dh, float scale, float* att, float* out) {
-  float maxv = -1e30f;
-  for (int u = 0; u < n; ++u) {
-    const float* ku = k + static_cast<std::size_t>(u) * stride;
+  const auto row = [stride](const float* base, int u) {
+    return base + static_cast<std::size_t>(u) * stride;
+  };
+  int u = 0;
+  for (; u + 4 <= n; u += 4) {
+    const float *k0 = row(k, u), *k1 = row(k, u + 1), *k2 = row(k, u + 2),
+                *k3 = row(k, u + 3);
+    float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
+    for (int i = 0; i < dh; ++i) {
+      a0 += q[i] * k0[i];
+      a1 += q[i] * k1[i];
+      a2 += q[i] * k2[i];
+      a3 += q[i] * k3[i];
+    }
+    att[u] = a0 * scale;
+    att[u + 1] = a1 * scale;
+    att[u + 2] = a2 * scale;
+    att[u + 3] = a3 * scale;
+  }
+  for (; u < n; ++u) {
+    const float* ku = row(k, u);
     float acc = 0.0f;
     for (int i = 0; i < dh; ++i) acc += q[i] * ku[i];
     att[u] = acc * scale;
-    maxv = std::max(maxv, att[u]);
   }
+  float maxv = -1e30f;
+  for (u = 0; u < n; ++u) maxv = std::max(maxv, att[u]);
   float total = 0.0f;
-  for (int u = 0; u < n; ++u) {
+  for (u = 0; u < n; ++u) {
     att[u] = std::exp(att[u] - maxv);
     total += att[u];
   }
   const float inv = 1.0f / total;
-  for (int u = 0; u < n; ++u) {
-    const float a = att[u] * inv;
-    att[u] = a;
-    const float* vu = v + static_cast<std::size_t>(u) * stride;
-    for (int i = 0; i < dh; ++i) out[i] += a * vu[i];
+  for (u = 0; u < n; ++u) att[u] *= inv;
+
+  int c = 0;
+  for (; c + 16 <= dh; c += 16) {
+    V4 o0{}, o1{}, o2{}, o3{};
+    for (u = 0; u < n; ++u) {
+      const float a = att[u];
+      const float* vu = row(v, u) + c;
+      o0 += a * load4(vu);
+      o1 += a * load4(vu + 4);
+      o2 += a * load4(vu + 8);
+      o3 += a * load4(vu + 12);
+    }
+    store4(out + c, o0);
+    store4(out + c + 4, o1);
+    store4(out + c + 8, o2);
+    store4(out + c + 12, o3);
+  }
+  for (; c < dh; ++c) {
+    float o = 0.0f;
+    for (u = 0; u < n; ++u) o += att[u] * row(v, u)[c];
+    out[c] = o;
   }
 }
 
@@ -537,51 +592,58 @@ struct Transformer::Impl {
 
 namespace {
 
-// The inference linear kernel: out[s] = in[s](1×m) · W(m×n) + b for every
-// session s. Each out[s][j] starts from the bias and adds in[s][i] * W[i][j]
-// in ascending i, skipping in[s][i] == 0, whatever the batch; that is what
-// lets the serve runtime promise batched == sequential decoding. W is walked
-// in strips of eight columns that stay in L1 across the sessions; each keeps
-// its eight sums in registers over all m rows, so the inner loop stores
-// nothing. A store per element there makes the forward's speed depend on
-// where the heap puts activations relative to the weights (1.4-2x apart).
+// Columns [j, j + 4 * sizeof...(K)) of one row of batch_vec_matmul, summed in
+// sizeof...(K) vector registers. The pack expansions are unrolled by
+// construction, so acc[] lives in registers; written as loops over K, GCC at
+// -O2 keeps it on the stack.
+template <std::size_t... K>
+void linear_tile(const float* in, const Mat& w, const float* bias, int j,
+                 float* out, std::index_sequence<K...>) {
+  V4 acc[] = {load4(bias + j + 4 * K)...};
+  for (int i = 0; i < w.rows; ++i) {
+    const float vi = in[i];
+    if (vi == 0.0f) continue;
+    const float* wr = w.row(i) + j;
+    ((acc[K] += vi * load4(wr + 4 * K)), ...);
+  }
+  (store4(out + j + 4 * K, acc[K]), ...);
+}
+
+// The inference linear kernel: out = in · W + b, one row of out per row of
+// in, W (m×n) row-major. Each out[r][j] starts from the bias and adds
+// in[r][i] * W[i][j] in ascending i, skipping in[r][i] == 0, whatever the
+// other rows; that is what lets the serve runtime promise batched ==
+// sequential decoding. The per-element arithmetic is fixed (DESIGN.md
+// §13.3); only the schedule below is free.
+//
+// W is walked in strips of 32 columns, then 16, then 4, then single columns.
+// A strip stays in L1 while every row walks it, and each row keeps the
+// strip's sums in vector registers over all m inputs: eight independent
+// accumulators for a 32-column strip, so an input index is not bound by the
+// latency of one add chain, and the inner loop stores nothing.
 //
 // Training keeps its own linear kernel, matmul() then add_bias(), which adds
 // the bias last. Float addition is not associative, so merging the two would
 // change the bytes of either every trained checkpoint or every decoded row.
-void batch_vec_matmul(std::span<const float* const> in, const Mat& w,
-                      const Param& b, int m, int n,
-                      std::span<float* const> out) {
+void batch_vec_matmul(const Mat& in, const Mat& w, const Param& b, Mat& out) {
   const float* bias = b.w.data.data();
   int j = 0;
-  for (; j + 8 <= n; j += 8) {
-    for (std::size_t s = 0; s < in.size(); ++s) {
-      float a0 = bias[j], a1 = bias[j + 1], a2 = bias[j + 2],
-            a3 = bias[j + 3], a4 = bias[j + 4], a5 = bias[j + 5],
-            a6 = bias[j + 6], a7 = bias[j + 7];
-      for (int i = 0; i < m; ++i) {
-        const float vi = in[s][i];
-        if (vi == 0.0f) continue;
-        const float* wr = w.row(i) + j;
-        a0 += vi * wr[0];
-        a1 += vi * wr[1];
-        a2 += vi * wr[2];
-        a3 += vi * wr[3];
-        a4 += vi * wr[4];
-        a5 += vi * wr[5];
-        a6 += vi * wr[6];
-        a7 += vi * wr[7];
-      }
-      const float sums[] = {a0, a1, a2, a3, a4, a5, a6, a7};
-      std::copy(sums, sums + 8, out[s] + j);
-    }
-  }
-  for (; j < n; ++j) {  // the last n % 8 columns
-    for (std::size_t s = 0; s < in.size(); ++s) {
+  const auto strips = [&]<std::size_t... K>(std::index_sequence<K...> tile) {
+    constexpr int width = 4 * static_cast<int>(sizeof...(K));
+    for (; j + width <= w.cols; j += width)
+      for (int r = 0; r < in.rows; ++r)
+        linear_tile(in.row(r), w, bias, j, out.row(r), tile);
+  };
+  strips(std::make_index_sequence<8>{});
+  strips(std::make_index_sequence<4>{});
+  strips(std::make_index_sequence<1>{});
+  for (; j < w.cols; ++j) {
+    for (int r = 0; r < in.rows; ++r) {
+      const float* x = in.row(r);
       float a = bias[j];
-      for (int i = 0; i < m; ++i)
-        if (in[s][i] != 0.0f) a += in[s][i] * w.row(i)[j];
-      out[s][j] = a;
+      for (int i = 0; i < w.rows; ++i)
+        if (x[i] != 0.0f) a += x[i] * w.row(i)[j];
+      out.row(r)[j] = a;
     }
   }
 }
@@ -662,14 +724,16 @@ void Transformer::Impl::ensure_cache_shape(KvCache& kv) const {
                 "KvCache was sized for a different model");
 }
 
-// Sessions advance position by position in lockstep. At every step the weight
-// matmuls of all sessions that still have unprocessed positions are fused
-// into batch_vec_matmul calls, while LayerNorm, attention over the session's
-// own KV cache, GELU and the residuals run per session. A session whose
-// suffix is done drops out of the active set, its row of x holding the
-// residual stream of its last position; the final LayerNorm and the output
-// projection run over all sessions at the end. No operation mixes two
-// sessions' values, so a session's logits do not depend on its batch.
+// Every new position of every session is one row of a block: session s's
+// positions pos[s] .. ids_list[s].size() - 1 are rows first[s] ..
+// first[s + 1] - 1, in ascending order. Each layer runs its four weight
+// matmuls once over the whole block; LayerNorm, GELU and the residuals run
+// per row. In ascending order, each new position appends its K and V rows to
+// its session's cache and then attends over its causal prefix there, which
+// the cache now holds. The final LayerNorm and the output head run only at
+// each session's last position. No operation mixes two rows' values, so a
+// session's logits depend neither on its batch nor on how many of its
+// positions are new.
 std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
     std::span<const std::vector<int>> ids_list,
     std::span<KvCache* const> caches) const {
@@ -679,109 +743,76 @@ std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
   const int dh = d / nh;
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
 
-  std::vector<std::size_t> pos(ns), end(ns);
+  std::vector<int> pos(ns), first(ns + 1, 0);
   std::int64_t reused = 0;
-  std::int64_t recomputed = 0;
   for (std::size_t s = 0; s < ns; ++s) {
     ensure_cache_shape(*caches[s]);
-    pos[s] = kv_common_prefix(*caches[s], ids_list[s]);
-    end[s] = ids_list[s].size();
-    reused += static_cast<std::int64_t>(pos[s]);
-    recomputed += static_cast<std::int64_t>(end[s] - pos[s]);
+    pos[s] = static_cast<int>(kv_common_prefix(*caches[s], ids_list[s]));
+    first[s + 1] = first[s] + static_cast<int>(ids_list[s].size()) - pos[s];
+    reused += pos[s];
   }
-  record_kv_counters(reused, recomputed);
+  const int rows = first[ns];
+  record_kv_counters(reused, rows);
 
-  // Per-session workspaces, one row each. Sized once for the whole batch.
-  Mat x(static_cast<int>(ns), d);
-  Mat norm(static_cast<int>(ns), d);
-  Mat qkv(static_cast<int>(ns), 3 * d);
-  Mat ctx(static_cast<int>(ns), d);
-  Mat attn_out(static_cast<int>(ns), d);
-  Mat ff(static_cast<int>(ns), cfg.d_ff);
-  Mat ff_out(static_cast<int>(ns), d);
+  Mat x(rows, d);
+  Mat norm(rows, d);
+  Mat qkv(rows, 3 * d);
+  Mat ctx(rows, d);
+  Mat branch(rows, d);
+  Mat ff(rows, cfg.d_ff);
   std::vector<float> att(static_cast<std::size_t>(cfg.max_seq));
 
-  std::vector<std::size_t> active;
-  std::vector<const float*> in_ptrs;
-  std::vector<float*> out_ptrs;
-  const auto batched = [&](const Mat& in_rows, const Mat& w, const Param& b,
-                           int m, int n, Mat& out_rows) {
-    in_ptrs.clear();
-    out_ptrs.clear();
-    for (const std::size_t s : active) {
-      in_ptrs.push_back(in_rows.row(static_cast<int>(s)));
-      out_ptrs.push_back(out_rows.row(static_cast<int>(s)));
+  // Row r of session s holds position pos[s] + r - first[s].
+  for (std::size_t s = 0; s < ns; ++s)
+    for (int r = first[s], t = pos[s]; r < first[s + 1]; ++r, ++t) {
+      const float* e = tok_emb.w.row(ids_list[s][static_cast<std::size_t>(t)]);
+      const float* p = pos_emb.w.row(t);
+      float* xr = x.row(r);
+      for (int i = 0; i < d; ++i) xr[i] = e[i] + p[i];
     }
-    batch_vec_matmul(in_ptrs, w, b, m, n, out_ptrs);
-  };
+
   const auto layer_norm_rows = [&](const Param& gamma, const Param& beta) {
-    for (const std::size_t s : active)
-      layer_norm(x.row(static_cast<int>(s)), gamma, beta, d,
-                 norm.row(static_cast<int>(s)));
+    for (int r = 0; r < rows; ++r)
+      layer_norm(x.row(r), gamma, beta, d, norm.row(r));
   };
-  const auto add_residual = [&](const Mat& branch) {
-    for (const std::size_t s : active) {
-      float* xs = x.row(static_cast<int>(s));
-      const float* bs = branch.row(static_cast<int>(s));
-      for (int i = 0; i < d; ++i) xs[i] += bs[i];
-    }
+  const auto add_branch = [&] {
+    for (std::size_t i = 0; i < x.data.size(); ++i) x.data[i] += branch.data[i];
   };
 
-  while (true) {
-    active.clear();
-    for (std::size_t s = 0; s < ns; ++s)
-      if (pos[s] < end[s]) active.push_back(s);
-    if (active.empty()) break;
+  for (int li = 0; li < cfg.n_layers; ++li) {
+    const LayerParams& lp = layers[static_cast<std::size_t>(li)];
 
-    for (const std::size_t s : active) {
-      const float* e = tok_emb.w.row(ids_list[s][pos[s]]);
-      const float* p = pos_emb.w.row(static_cast<int>(pos[s]));
-      float* xs = x.row(static_cast<int>(s));
-      for (int i = 0; i < d; ++i) xs[i] = e[i] + p[i];
-    }
-
-    for (int li = 0; li < cfg.n_layers; ++li) {
-      const LayerParams& lp = layers[static_cast<std::size_t>(li)];
-
-      layer_norm_rows(lp.ln1_g, lp.ln1_b);
-      batched(norm, lp.w_qkv.w, lp.b_qkv, d, 3 * d, qkv);
-      for (const std::size_t s : active) {
-        const int t = static_cast<int>(pos[s]);
-        Mat& kc = caches[s]->k[static_cast<std::size_t>(li)];
-        Mat& vc = caches[s]->v[static_cast<std::size_t>(li)];
-        // Append this position's K and V to the cache, then attend over it.
-        const float* sq = qkv.row(static_cast<int>(s));
-        std::copy(sq + d, sq + 2 * d, kc.row(t));
-        std::copy(sq + 2 * d, sq + 3 * d, vc.row(t));
-        float* cs = ctx.row(static_cast<int>(s));
-        std::fill(cs, cs + d, 0.0f);
+    layer_norm_rows(lp.ln1_g, lp.ln1_b);
+    batch_vec_matmul(norm, lp.w_qkv.w, lp.b_qkv, qkv);
+    for (std::size_t s = 0; s < ns; ++s) {
+      Mat& kc = caches[s]->k[static_cast<std::size_t>(li)];
+      Mat& vc = caches[s]->v[static_cast<std::size_t>(li)];
+      for (int r = first[s], t = pos[s]; r < first[s + 1]; ++r, ++t) {
+        const float* qr = qkv.row(r);
+        std::copy(qr + d, qr + 2 * d, kc.row(t));
+        std::copy(qr + 2 * d, qr + 3 * d, vc.row(t));
         for (int h = 0; h < nh; ++h)
-          attend(sq + h * dh, kc.row(0) + h * dh, vc.row(0) + h * dh,
+          attend(qr + h * dh, kc.row(0) + h * dh, vc.row(0) + h * dh,
                  static_cast<std::size_t>(d), t + 1, dh, scale, att.data(),
-                 cs + h * dh);
+                 ctx.row(r) + h * dh);
       }
-      batched(ctx, lp.w_o.w, lp.b_o, d, d, attn_out);
-      add_residual(attn_out);
-
-      layer_norm_rows(lp.ln2_g, lp.ln2_b);
-      batched(norm, lp.w_fc1.w, lp.b_fc1, d, cfg.d_ff, ff);
-      for (const std::size_t s : active) {
-        float* fs = ff.row(static_cast<int>(s));
-        for (int i = 0; i < cfg.d_ff; ++i) fs[i] = gelu(fs[i]);
-      }
-      batched(ff, lp.w_fc2.w, lp.b_fc2, cfg.d_ff, d, ff_out);
-      add_residual(ff_out);
     }
+    batch_vec_matmul(ctx, lp.w_o.w, lp.b_o, branch);
+    add_branch();
 
-    for (const std::size_t s : active) ++pos[s];
+    layer_norm_rows(lp.ln2_g, lp.ln2_b);
+    batch_vec_matmul(norm, lp.w_fc1.w, lp.b_fc1, ff);
+    for (float& f : ff.data) f = gelu(f);
+    batch_vec_matmul(ff, lp.w_fc2.w, lp.b_fc2, branch);
+    add_branch();
   }
 
-  // Final LN per session, then one batched output projection over everyone
-  // (w_out is the widest matrix in the model — the biggest single win).
-  for (std::size_t s = 0; s < ns; ++s) active.push_back(s);
-  layer_norm_rows(lnf_g, lnf_b);
+  Mat last(static_cast<int>(ns), d);
+  for (std::size_t s = 0; s < ns; ++s)
+    layer_norm(x.row(first[s + 1] - 1), lnf_g, lnf_b, d,
+               last.row(static_cast<int>(s)));
   Mat logits(static_cast<int>(ns), cfg.vocab_size);
-  batched(norm, w_out.w, b_out, d, cfg.vocab_size, logits);
+  batch_vec_matmul(last, w_out.w, b_out, logits);
   std::vector<std::vector<float>> out;
   for (int s = 0; s < logits.rows; ++s)
     out.emplace_back(logits.row(s), logits.row(s) + logits.cols);

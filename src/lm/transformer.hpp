@@ -87,10 +87,10 @@ class Transformer final : public LanguageModel {
   // Cache-efficiency note (lm.kv.* counters): while the context is shorter
   // than max_seq-1 every step reuses the full cached prefix and recomputes
   // only the final token. Once the context reaches the window limit the
-  // sliding window shifts by one every step, the common prefix check
-  // matches nothing, and every call recomputes all max_seq positions — the
-  // documented O(ctx²) post-window regime, visible as lm.kv.recomputed_tokens
-  // outpacing lm.kv.reused_tokens.
+  // sliding window shifts by one every step, the common prefix shrinks to
+  // the START token, and every call reuses START and recomputes the other
+  // max_seq-1 positions — the documented O(ctx²) post-window regime,
+  // visible as lm.kv.recomputed_tokens outpacing lm.kv.reused_tokens.
   std::vector<float> logits(std::span<const int> context) const override;
 
   // Same computation through a caller-owned KvCache. Thread-safe for
@@ -99,12 +99,13 @@ class Transformer final : public LanguageModel {
   std::vector<float> logits(std::span<const int> context, KvCache& cache) const;
 
   // Cross-session batched forward (the serve runtime's hot path): decode the
-  // next-token logits for N independent contexts in one pass, stacking the
-  // per-position weight matmuls so one sweep over each weight matrix serves
-  // every session. `caches[i]` must be distinct per-session caches. There is
-  // one inference forward and logits() is its batch of one; no operation
-  // mixes two sessions' values, so the result for each session is
-  // bit-identical to logits(contexts[i]) and batching is schedule-invisible.
+  // next-token logits for N independent contexts in one pass. Every new
+  // position of every session is one row of a block, so each layer sweeps
+  // each weight matrix once for all of them. `caches[i]` must be distinct
+  // per-session caches. There is one inference forward and logits() is its
+  // batch of one; no operation mixes two rows' values, so the result for
+  // each session is bit-identical to logits(contexts[i]) and batching is
+  // schedule-invisible.
   std::vector<std::vector<float>> logits_batch(
       std::span<const std::vector<int>> contexts,
       std::span<KvCache* const> caches) const;
@@ -127,7 +128,14 @@ class Transformer final : public LanguageModel {
   static Transformer load(const std::string& path);
 
   // --- introspection (gradient checks, checkpointing) ----------------------
-  // Flat copy of all parameters, in a stable internal order.
+  // Flat copy of all parameters, each tensor row-major, in this order: token
+  // embedding ((vocab+1) x d_model, row vocab is START), position embedding
+  // (max_seq x d_model), final LayerNorm gain and bias, output head weight
+  // (d_model x vocab) and bias; then per layer: LayerNorm 1 gain and bias,
+  // QKV weight (d_model x 3 d_model: Q, K and V column blocks, head h at
+  // columns h*d_model/n_heads of each) and bias, attention output weight
+  // (d_model x d_model) and bias, LayerNorm 2 gain and bias, MLP weights
+  // (d_model x d_ff, d_ff x d_model) each followed by its bias.
   std::vector<float> parameters_flat() const;
   // Overwrite all parameters from a flat vector of matching size.
   void set_parameters_flat(std::span<const float> flat);

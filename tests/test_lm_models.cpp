@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <utility>
 
 #include "lm/ngram.hpp"
 #include "lm/trainer.hpp"
@@ -241,6 +243,165 @@ TEST(Transformer, DecodePathAgreesWithTrainingPath) {
       const std::vector<std::vector<int>> rows{row};
       EXPECT_NEAR(m.evaluate(rows), total / len, 1e-4) << "length " << len;
     }
+  }
+}
+
+// --- absolute reference for inference ---------------------------------------
+
+// A scalar forward written from the documented arithmetic (DESIGN.md §13.3)
+// alone. It shares no code with the model: the weights come from
+// parameters_flat() in its documented order, and every sum runs in the
+// documented order. The model's logits must equal it bit for bit.
+
+float ref_gelu(float x) {
+  const float t = 0.7978845608028654f * (x + 0.044715f * x * x * x);
+  return 0.5f * x * (1.0f + std::tanh(t));
+}
+
+std::vector<float> ref_layer_norm(const std::vector<float>& x, const float* g,
+                                  const float* b) {
+  float mean = 0.0f;
+  for (const float xi : x) mean += xi;
+  mean /= static_cast<float>(x.size());
+  float var = 0.0f;
+  for (const float xi : x) var += (xi - mean) * (xi - mean);
+  var /= static_cast<float>(x.size());
+  const float rstd = 1.0f / std::sqrt(var + 1e-5f);
+  std::vector<float> out(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    out[i] = (x[i] - mean) * rstd * g[i] + b[i];
+  return out;
+}
+
+// y = x W + b, W row-major with n columns: y[j] starts from b[j] and adds
+// x[i] * W[i][j] in ascending i, skipping x[i] == 0.
+std::vector<float> ref_linear(const std::vector<float>& x, const float* w,
+                              const float* b, std::size_t n) {
+  std::vector<float> y(b, b + n);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < x.size(); ++i)
+      if (x[i] != 0.0f) y[j] += x[i] * w[i * n + j];
+  return y;
+}
+
+std::vector<float> reference_logits(const TransformerConfig& c,
+                                    const std::vector<float>& flat,
+                                    std::span<const int> context) {
+  const auto v = static_cast<std::size_t>(c.vocab_size);
+  const auto d = static_cast<std::size_t>(c.d_model);
+  const auto f = static_cast<std::size_t>(c.d_ff);
+  const std::size_t dh = d / static_cast<std::size_t>(c.n_heads);
+  const float* next = flat.data();
+  const auto take = [&next](std::size_t n) {
+    return std::exchange(next, next + n);
+  };
+  const float* tok = take((v + 1) * d);
+  const float* pos = take(static_cast<std::size_t>(c.max_seq) * d);
+  const float *lnf_g = take(d), *lnf_b = take(d);
+  const float *w_out = take(d * v), *b_out = take(v);
+
+  // START, then at most the last max_seq - 1 context tokens.
+  const std::size_t keep = std::min(
+      context.size(), static_cast<std::size_t>(c.max_seq - 1));
+  std::vector<int> ids{c.vocab_size};
+  ids.insert(ids.end(), context.end() - static_cast<std::ptrdiff_t>(keep),
+             context.end());
+  std::vector<std::vector<float>> x(ids.size(), std::vector<float>(d));
+  for (std::size_t t = 0; t < ids.size(); ++t)
+    for (std::size_t i = 0; i < d; ++i)
+      x[t][i] = tok[static_cast<std::size_t>(ids[t]) * d + i] + pos[t * d + i];
+
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  for (int layer = 0; layer < c.n_layers; ++layer) {
+    const float *ln1_g = take(d), *ln1_b = take(d);
+    const float *w_qkv = take(d * 3 * d), *b_qkv = take(3 * d);
+    const float *w_o = take(d * d), *b_o = take(d);
+    const float *ln2_g = take(d), *ln2_b = take(d);
+    const float *w_fc1 = take(d * f), *b_fc1 = take(f);
+    const float *w_fc2 = take(f * d), *b_fc2 = take(d);
+    std::vector<std::vector<float>> qkv;
+    for (const auto& xt : x)
+      qkv.push_back(ref_linear(ref_layer_norm(xt, ln1_g, ln1_b), w_qkv, b_qkv,
+                               3 * d));
+    for (std::size_t t = 0; t < x.size(); ++t) {
+      // Per head: softmax of scale * q.k_u over u <= t, then the weighted sum
+      // of the v_u from 0 in ascending u.
+      std::vector<float> ctx(d, 0.0f);
+      for (std::size_t h = 0; h < dh * static_cast<std::size_t>(c.n_heads);
+           h += dh) {
+        std::vector<float> att(t + 1);
+        float maxv = -1e30f;
+        for (std::size_t u = 0; u <= t; ++u) {
+          float dot = 0.0f;
+          for (std::size_t i = 0; i < dh; ++i)
+            dot += qkv[t][h + i] * qkv[u][d + h + i];
+          att[u] = dot * scale;
+          maxv = std::max(maxv, att[u]);
+        }
+        float total = 0.0f;
+        for (float& a : att) {
+          a = std::exp(a - maxv);
+          total += a;
+        }
+        const float inv = 1.0f / total;
+        for (std::size_t u = 0; u <= t; ++u)
+          for (std::size_t i = 0; i < dh; ++i)
+            ctx[h + i] += att[u] * inv * qkv[u][2 * d + h + i];
+      }
+      const auto attn = ref_linear(ctx, w_o, b_o, d);
+      for (std::size_t i = 0; i < d; ++i) x[t][i] += attn[i];
+      auto hidden =
+          ref_linear(ref_layer_norm(x[t], ln2_g, ln2_b), w_fc1, b_fc1, f);
+      for (float& hi : hidden) hi = ref_gelu(hi);
+      const auto mlp = ref_linear(hidden, w_fc2, b_fc2, d);
+      for (std::size_t i = 0; i < d; ++i) x[t][i] += mlp[i];
+    }
+  }
+  return ref_linear(ref_layer_norm(x.back(), lnf_g, lnf_b), w_out, b_out, v);
+}
+
+TEST(Transformer, InferenceMatchesScalarReference) {
+  // perfbench's model; tiny_config; and an odd shape whose widths (60, 180,
+  // 36 and 7 columns, head width 20) run every column tail of the linear
+  // kernel and the attention tail for head widths other than 16.
+  const std::vector<TransformerConfig> shapes{
+      {.vocab_size = 19, .d_model = 64, .n_layers = 2, .n_heads = 4,
+       .d_ff = 128, .max_seq = 64},
+      tiny_config(6),
+      {.vocab_size = 7, .d_model = 60, .n_layers = 1, .n_heads = 3,
+       .d_ff = 36, .max_seq = 20}};
+  util::Rng rng(34);
+  for (const TransformerConfig& c : shapes) {
+    Transformer m(c, rng);
+    // Random values for every parameter, biases and LayerNorm included, so
+    // that any change of order shows in the bits.
+    std::vector<float> flat = m.parameters_flat();
+    for (float& w : flat) w = static_cast<float>(rng.normal(0.0, 0.4));
+    m.set_parameters_flat(flat);
+    const auto token = [&] {
+      return static_cast<int>(rng.uniform_int(0, c.vocab_size - 1));
+    };
+
+    // The context grows by 1-4 tokens per call through one KvCache, past the
+    // window.
+    KvCache cache;
+    std::vector<int> ctx;
+    while (ctx.size() < static_cast<std::size_t>(c.max_seq + 8)) {
+      for (auto k = rng.uniform_int(1, 4); k > 0; --k) ctx.push_back(token());
+      EXPECT_EQ(m.logits(ctx, cache), reference_logits(c, flat, ctx))
+          << "d_model " << c.d_model << ", " << ctx.size() << " tokens";
+    }
+
+    // One batch: a cold 20-token session beside a 1-token append.
+    std::vector<std::vector<int>> batch{{}, ctx};
+    for (int i = 0; i < 20; ++i) batch[0].push_back(token());
+    batch[1].push_back(token());
+    KvCache cold;
+    const std::vector<KvCache*> caches{&cold, &cache};
+    const auto out = m.logits_batch(batch, caches);
+    for (std::size_t s = 0; s < batch.size(); ++s)
+      EXPECT_EQ(out[s], reference_logits(c, flat, batch[s]))
+          << "d_model " << c.d_model << ", batch session " << s;
   }
 }
 
