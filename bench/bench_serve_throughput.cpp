@@ -1,16 +1,17 @@
-// Serving throughput: the batched decode runtime (lejit::serve, DESIGN.md
-// §13) vs sequential per-row decoding.
+// Serving throughput: the decode runtime (lejit::serve, DESIGN.md §13) vs
+// sequential per-row decoding.
 //
 // The sweep decodes the same imputation workload through Server
-// configurations of increasing (workers x batch) and reports rows/sec, the
-// realized mean batch width, and — the load-bearing claim — that every
-// configuration's output is bit-identical to the sequential decode of the
-// same (seed, row) pairs. The google-benchmark micro-timings isolate the
-// kernel effect the runtime is built on: one batched forward over N contexts
-// amortizes each weight-matrix sweep across N rows.
+// configurations of increasing (workers x batch) sessions and reports
+// rows/sec, the LM forwards and contexts per forward (1.0: every session
+// runs its own), and — the load-bearing claim — that every configuration's
+// output is bit-identical to the sequential decode of the same (seed, row)
+// pairs. The google-benchmark micro-timings price what cross-session
+// batching would buy: one logits_batch forward over N cold contexts against
+// N sequential ones.
 //
-// BENCH_8.json carries the "serve" section tools/check_bench_json.py
-// --compare-serve gates on.
+// The "serve" section is what tools/check_bench_json.py --compare-serve
+// gates on (ctest serve_bench_smoke runs the --smoke sweep).
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -38,9 +39,10 @@ constexpr std::uint64_t kServeSeed = 11;
 bool g_smoke = false;
 
 const BenchEnv& env() {
-  // Serve drives Transformer::logits_batch, so this figure always trains the
-  // nano-GPT — with a shortened schedule in smoke mode (an undertrained LM
-  // decodes worse rows, but throughput and bit-identity do not care).
+  // Serve sessions decode through the transformer's KV-cached forward, so
+  // this figure always trains the nano-GPT — with a shortened schedule in
+  // smoke mode (an undertrained LM decodes worse rows, but throughput and
+  // bit-identity do not care).
   static const BenchEnv e = bench::make_env(
       g_smoke ? bench::BenchEnvConfig{.racks = 8,
                                       .windows_per_rack = 30,
@@ -157,7 +159,10 @@ ServeRun run_serve(int workers, int batch,
       run.seconds > 0.0 ? static_cast<double>(rows.size()) / run.seconds : 0.0;
 
   const serve::ServeStats stats = server.stats();
-  run.mean_batch_width = stats.mean_batch_width();
+  run.mean_batch_width = stats.batched_forwards == 0
+                             ? 0.0
+                             : static_cast<double>(stats.forwarded_contexts) /
+                                   static_cast<double>(stats.batched_forwards);
   run.batched_forwards = stats.batched_forwards;
   run.degraded_rows = stats.degraded_rows;
   for (std::size_t i = 0; i < results.size(); ++i)
@@ -200,8 +205,8 @@ void print_serve_sweep(bench::JsonReport& report) {
       "Serving throughput — workers x batch sweep over " +
           std::to_string(n_rows) + " imputation rows (sequential baseline " +
           bench::fmt(seq_rows_per_sec, 1) + " rows/s)",
-      {"workers x batch", "rows/s", "vs sequential", "mean batch width",
-       "batched forwards", "bit-identical"});
+      {"workers x batch", "rows/s", "vs sequential", "contexts per forward",
+       "forwards", "bit-identical"});
   bool all_identical = true;
   for (const ServeRun& r : runs) {
     all_identical = all_identical && r.bit_identical && r.degraded_rows == 0;

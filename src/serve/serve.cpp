@@ -1,5 +1,10 @@
 #include "serve/serve.hpp"
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <exception>
 
 #include "obs/metrics.hpp"
@@ -10,12 +15,41 @@
 
 namespace lejit::serve {
 
-DecodeSession::DecodeSession(Batcher& batcher, const lm::Transformer& model,
+namespace {
+
+// Pins thread i to the i-th CPU of the process's affinity mask, round robin.
+// Sessions are CPU-bound and sleep briefly between rows; left to the kernel,
+// two of them were seen sharing one CPU for a whole run while the other CPUs
+// ran only idle-priority threads (DESIGN.md §13.2). Placement never changes
+// decoded bytes, so a refused request is ignored.
+void spread_over_cpus(std::vector<std::thread>& threads) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) return;
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+  if (cpus.size() < 2) return;
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpus[i % cpus.size()], &one);
+    (void)pthread_setaffinity_np(threads[i].native_handle(), sizeof one, &one);
+  }
+#else
+  (void)threads;
+#endif
+}
+
+}  // namespace
+
+DecodeSession::DecodeSession(const lm::Transformer& model,
                              const lm::CharTokenizer& tokenizer,
                              const telemetry::RowLayout& layout,
                              rules::RuleSet rules,
                              const core::DecoderConfig& config)
-    : model_(batcher, model),
+    : model_(model),
       decoder_(model_, tokenizer, layout, std::move(rules), config) {}
 
 // One synchronous run() call: owned prompt copies, results slots, plus a
@@ -58,24 +92,18 @@ Server::Server(const lm::Transformer& model,
     decoder_config.compile_plan = false;
   }
 
-  groups_.reserve(static_cast<std::size_t>(config_.workers));
-  for (int w = 0; w < config_.workers; ++w) {
-    auto group = std::make_unique<Group>(model);
-    group->sessions.reserve(static_cast<std::size_t>(config_.batch));
-    for (int b = 0; b < config_.batch; ++b)
-      group->sessions.push_back(std::make_unique<DecodeSession>(
-          group->batcher, model, tokenizer, layout, rules, decoder_config));
-    groups_.push_back(std::move(group));
-  }
+  const int sessions = config_.workers * config_.batch;
+  sessions_.reserve(static_cast<std::size_t>(sessions));
+  for (int i = 0; i < sessions; ++i)
+    sessions_.push_back(std::make_unique<DecodeSession>(
+        model, tokenizer, layout, rules, decoder_config));
 
   // Threads start only after every session constructed, so a throwing
   // constructor leaves nothing to join.
-  threads_.reserve(
-      static_cast<std::size_t>(config_.workers * config_.batch));
-  for (auto& group : groups_)
-    for (auto& session : group->sessions)
-      threads_.emplace_back(
-          [this, &group, &session] { session_main(*group, *session); });
+  threads_.reserve(sessions_.size());
+  for (auto& session : sessions_)
+    threads_.emplace_back([this, s = session.get()] { session_main(*s); });
+  spread_over_cpus(threads_);
 }
 
 Server::~Server() {
@@ -83,9 +111,8 @@ Server::~Server() {
   for (auto& t : threads_) t.join();
 }
 
-void Server::session_main(Group& group, DecodeSession& session) {
+void Server::session_main(DecodeSession& session) {
   while (auto job = queue_.pop()) {
-    group.batcher.activate();
     core::DecodeResult result;
     try {
       // Same (seed, row) → RNG derivation as the offline batch driver.
@@ -97,14 +124,14 @@ void Server::session_main(Group& group, DecodeSession& session) {
       result.reason = core::FailReason::kFault;
       result.fail_detail = "serve row " + std::to_string(job->row) +
                            " degraded: " + e.what();
-      // The throw may have interrupted a KV-cache update mid-write; drop the
-      // cached prefix so the fault stays confined to this row.
-      session.reset_lm_cache();
+      // The throw may have interrupted a KV-cache update mid-write, leaving
+      // the cache's recorded ids ahead of its K/V rows; drop the cached
+      // prefix so the fault stays confined to this row.
+      session.cache().clear();
       degraded_rows_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Leave the rendezvous before delivering: the group must never wait on a
-    // session that is done with its row.
-    group.batcher.deactivate();
+    forwards_.fetch_add(static_cast<std::uint64_t>(result.stats.lm_calls),
+                        std::memory_order_relaxed);
     rows_.fetch_add(1, std::memory_order_relaxed);
     job->run->deliver(job->row, std::move(result));
   }
@@ -151,12 +178,8 @@ ServeStats Server::stats() const {
   ServeStats stats;
   stats.rows = rows_.load(std::memory_order_relaxed);
   stats.degraded_rows = degraded_rows_.load(std::memory_order_relaxed);
-  for (const auto& group : groups_) {
-    std::uint64_t forwards = 0, contexts = 0;
-    group->batcher.snapshot(forwards, contexts);
-    stats.batched_forwards += forwards;
-    stats.forwarded_contexts += contexts;
-  }
+  stats.batched_forwards = forwards_.load(std::memory_order_relaxed);
+  stats.forwarded_contexts = stats.batched_forwards;
   return stats;
 }
 

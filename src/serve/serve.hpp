@@ -1,21 +1,20 @@
-// lejit::serve — the long-lived batched decode service (DESIGN.md §13).
+// lejit::serve — the long-lived decode service (DESIGN.md §13).
 //
 // Turns the one-shot decode workflow into a serving runtime: a bounded
-// request queue feeds `workers` independent batch groups, each group holds
-// `batch` pool-allocated DecodeSessions decoding rows concurrently, and the
-// sessions of a group fuse their LM forwards into cross-row batched matmuls
-// through a Batcher rendezvous. The expensive immutable state — model
-// weights, tokenizer, compiled decode plan, static lint hulls, backend
+// request queue feeds workers * batch pool-allocated DecodeSessions, one
+// thread each, decoding rows independently. The expensive immutable state —
+// model weights, tokenizer, compiled decode plan, static lint hulls, backend
 // configuration — is loaded once and shared read-only by every session;
 // each session owns only its cheap per-row state (decoder walk + feasibility
-// cache, solver scopes, RNG, private KV cache).
+// cache, solver scopes, RNG, private KV cache) and runs its own LM forwards
+// through that cache, never waiting on another session.
 //
 // Determinism contract: row i of a run() call is decoded with the RNG
 // derived from (seed, i) by core::row_rng — exactly the batch driver's
-// derivation — and the batched forward is bit-identical per session to the
-// sequential one, so serve output for a fixed (seed, prompts) pair is
-// bit-identical to a sequential per-row decode, independent of worker
-// count, batch width, queue order, and thread scheduling.
+// derivation — and a session's logits depend only on its own context, so
+// serve output for a fixed (seed, prompts) pair is bit-identical to a
+// sequential per-row decode, independent of worker count, sessions per
+// worker, queue order, and thread scheduling.
 #pragma once
 
 #include <atomic>
@@ -30,16 +29,14 @@
 #include "core/decoder.hpp"
 #include "lm/tokenizer.hpp"
 #include "lm/transformer.hpp"
-#include "serve/batcher.hpp"
 #include "serve/queue.hpp"
 
 namespace lejit::serve {
 
 struct ServeConfig {
-  // Independent batch groups; each gets its own Batcher and `batch`
-  // sessions, so the total decode concurrency is workers * batch.
+  // The server runs workers * batch independent sessions, one thread each;
+  // `batch` is the number of sessions per worker.
   int workers = 1;
-  // Sessions per group = target width of each batched LM forward.
   int batch = 4;
   // Admission queue bound: submissions beyond this backpressure the caller.
   std::size_t queue_capacity = 1024;
@@ -50,26 +47,20 @@ struct ServeConfig {
 struct ServeStats {
   std::uint64_t rows = 0;            // rows decoded across all run() calls
   std::uint64_t degraded_rows = 0;   // rows whose generate() threw (kFault)
-  std::uint64_t batched_forwards = 0;   // Transformer::logits_batch calls
-  std::uint64_t forwarded_contexts = 0; // Σ batch width over those calls
-
-  // Realized batching: contexts served per weight-matrix sweep.
-  double mean_batch_width() const {
-    return batched_forwards == 0
-               ? 0.0
-               : static_cast<double>(forwarded_contexts) /
-                     static_cast<double>(batched_forwards);
-  }
+  // LM forwards of the delivered rows (Σ DecodeStats::lm_calls). Every
+  // session runs its own forwards, so the two counts are always equal.
+  std::uint64_t batched_forwards = 0;
+  std::uint64_t forwarded_contexts = 0;
 };
 
-// One pooled decode session: a GuidedDecoder whose LM calls are routed
-// through the group's Batcher with a session-private KV cache. Sessions are
-// allocated once at server start and reused for every row they pull off the
-// queue — per-row cost is just the decoder's walk reset, not solver or model
-// setup.
+// One pooled decode session: a GuidedDecoder over its own
+// lm::TransformerSession, i.e. a private KV cache on the shared model.
+// Sessions are allocated once at server start and reused for every row they
+// pull off the queue — per-row cost is just the decoder's walk reset, not
+// solver or model setup.
 class DecodeSession {
  public:
-  DecodeSession(Batcher& batcher, const lm::Transformer& model,
+  DecodeSession(const lm::Transformer& model,
                 const lm::CharTokenizer& tokenizer,
                 const telemetry::RowLayout& layout, rules::RuleSet rules,
                 const core::DecoderConfig& config);
@@ -81,33 +72,10 @@ class DecodeSession {
     return decoder_.generate(rng, prompt);
   }
 
-  // Called after a decode threw: discards the session's KV prefix so the
-  // fault cannot leak an inconsistent cache into the next row.
-  void reset_lm_cache() noexcept { model_.reset_cache(); }
+  lm::KvCache& cache() noexcept { return model_.cache(); }
 
  private:
-  // LanguageModel proxy: blocks in the Batcher until the group's batched
-  // forward serves this session's context.
-  class BatchedModel final : public lm::LanguageModel {
-   public:
-    BatchedModel(Batcher& batcher, const lm::Transformer& model)
-        : batcher_(batcher), vocab_(model.vocab_size()) {}
-    int vocab_size() const override { return vocab_; }
-    std::vector<float> logits(std::span<const int> context) const override {
-      return batcher_.forward(context, cache_);
-    }
-    // Drop the cached prefix. A forward that threw mid-update can leave the
-    // cache's recorded ids ahead of its written K/V rows; clearing forces a
-    // full recompute on the next row instead of reusing a poisoned prefix.
-    void reset_cache() noexcept { cache_.clear(); }
-
-   private:
-    Batcher& batcher_;
-    int vocab_;
-    mutable lm::KvCache cache_;
-  };
-
-  BatchedModel model_;  // must outlive decoder_ (declared first)
+  lm::TransformerSession model_;  // must outlive decoder_ (declared first)
   core::GuidedDecoder decoder_;
 };
 
@@ -116,8 +84,8 @@ class Server {
   // Shares `model` and `tokenizer` (borrowed; must outlive the server)
   // across all sessions. When `decoder_config.compile_plan` is set, the plan
   // is compiled ONCE here and handed to every session, instead of once per
-  // session. Construction builds all workers * batch sessions and starts
-  // their threads.
+  // session. Construction builds all workers * batch sessions, starts their
+  // threads and pins them round robin over the CPUs the process may use.
   Server(const lm::Transformer& model, const lm::CharTokenizer& tokenizer,
          const telemetry::RowLayout& layout, rules::RuleSet rules,
          core::DecoderConfig decoder_config, ServeConfig config);
@@ -147,20 +115,16 @@ class Server {
     // unwound early on a concurrently closed queue.
     std::shared_ptr<RunState> run;
   };
-  struct Group {
-    explicit Group(const lm::Transformer& model) : batcher(model) {}
-    Batcher batcher;
-    std::vector<std::unique_ptr<DecodeSession>> sessions;
-  };
 
-  void session_main(Group& group, DecodeSession& session);
+  void session_main(DecodeSession& session);
 
   ServeConfig config_;
   BoundedQueue<Job> queue_;
-  std::vector<std::unique_ptr<Group>> groups_;
-  std::vector<std::thread> threads_;
+  std::vector<std::unique_ptr<DecodeSession>> sessions_;
   std::atomic<std::uint64_t> rows_{0};
   std::atomic<std::uint64_t> degraded_rows_{0};
+  std::atomic<std::uint64_t> forwards_{0};
+  std::vector<std::thread> threads_;  // last: the threads use every member
 };
 
 }  // namespace lejit::serve

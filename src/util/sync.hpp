@@ -37,9 +37,10 @@ class LEJIT_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-// Scoped lock over a util::Mutex. Supports manual unlock()/lock() cycles
-// (the Batcher releases the lock for the duration of a batched forward) —
-// the destructor releases only if currently held, like std::unique_lock.
+// Scoped lock over a util::Mutex. Supports an early manual unlock() (the
+// serve runtime's completion latch releases the lock before it notifies the
+// waiting caller) — the destructor releases only if currently held, like
+// std::unique_lock.
 class LEJIT_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) LEJIT_ACQUIRE(mu) : lock_(mu.mu_) {}
@@ -48,7 +49,6 @@ class LEJIT_SCOPED_CAPABILITY MutexLock {
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  void lock() LEJIT_ACQUIRE() { lock_.lock(); }
   void unlock() LEJIT_RELEASE() { lock_.unlock(); }
 
  private:

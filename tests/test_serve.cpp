@@ -1,8 +1,9 @@
-// lejit::serve — the batched serving runtime (DESIGN.md §13).
+// lejit::serve — the serving runtime (DESIGN.md §13).
 //
 // The load-bearing property under test is the determinism contract: serve
 // output for a fixed (seed, prompts) pair is bit-identical to a sequential
-// per-row decode, independent of worker count, batch width, and scheduling.
+// per-row decode, independent of worker count, sessions per worker, and
+// scheduling.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -193,19 +194,23 @@ TEST(Serve, ServerIsReusableAcrossRuns) {
   EXPECT_EQ(server.run({}).size(), 0u);
 }
 
-TEST(Serve, SessionsActuallyBatchTheirForwards) {
+TEST(Serve, EachSessionRunsItsOwnForwards) {
   const std::vector<std::string> prompts(24, std::string());
+  const auto expected = sequential_decode(prompts, 9);
+  std::uint64_t expected_forwards = 0;
+  for (const core::DecodeResult& r : expected)
+    expected_forwards += static_cast<std::uint64_t>(r.stats.lm_calls);
+
   Server server(*env().model, env().tokenizer, env().layout, env().mined,
                 full_config(),
                 ServeConfig{.workers = 1, .batch = 4, .seed = 9});
   (void)server.run(prompts);
   const ServeStats stats = server.stats();
-  // With 24 rows over 4 sessions of one group, a meaningful fraction of
-  // forwards must have been fused (width > 1); width can never exceed the
-  // group size.
-  EXPECT_GT(stats.mean_batch_width(), 1.0);
-  EXPECT_LE(stats.mean_batch_width(), 4.0);
-  EXPECT_GE(stats.forwarded_contexts, stats.batched_forwards);
+  // Four sessions decode side by side, yet no forward serves two of them:
+  // every context is its own forward, and the count is exactly the
+  // sequential decode's.
+  EXPECT_EQ(stats.batched_forwards, stats.forwarded_contexts);
+  EXPECT_EQ(stats.batched_forwards, expected_forwards);
 }
 
 TEST(Serve, SharedCompiledPlanKeepsDecodesBitIdentical) {
@@ -222,12 +227,11 @@ TEST(Serve, SharedCompiledPlanKeepsDecodesBitIdentical) {
   expect_identical(server.run(prompts), expected, "shared plan");
 }
 
-// A batched forward that throws (fault injection at lm_forward — the same
-// hook the resilience suite arms) must complete the rendezvous round with
-// the exception instead of abandoning it: every session rethrows from
-// forward(), marks its row degraded, and the group keeps serving. Before
-// the fix, the leader's unwind left waiting_ pointing at destroyed
-// stack Pendings — followers hung forever and run() never returned.
+// A forward that throws (fault injection at lm_forward — the same hook the
+// resilience suite arms) degrades only the row of the session that ran it:
+// the session marks that row kFault, drops its KV prefix and goes on to its
+// next row, so with every forward throwing every row is degraded and run()
+// still returns.
 TEST(Serve, ThrowingForwardDegradesRowsInsteadOfWedgingTheGroup) {
   const std::vector<std::string> prompts(16, std::string());
   const auto expected = sequential_decode(prompts, 29);
@@ -251,7 +255,7 @@ TEST(Serve, ThrowingForwardDegradesRowsInsteadOfWedgingTheGroup) {
   expect_identical(server.run(prompts), expected, "after fault storm");
 }
 
-// Partial fault rate: a round that throws degrades exactly its members; all
+// Partial fault rate: a throwing forward degrades only its own row; all
 // other rows decode normally, and every surviving row is still bit-identical
 // to the sequential decode of that (seed, row) pair.
 TEST(Serve, SurvivingRowsStayBitIdenticalUnderInjectedFaults) {

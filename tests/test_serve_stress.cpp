@@ -7,10 +7,11 @@
 //      its internal KV cache. The ReentrancyGuard on Transformer::logits()
 //      must catch that misuse deterministically — abort with a message
 //      naming the fix — instead of silently corrupting decoded text.
-//   2. The serve runtime (queue + rendezvous batcher + session pool) must
-//      stay data-race-free and bit-identical to sequential decode under
-//      maximum contention: more runnable session threads than cores,
-//      repeated run() reuse, sessions retiring at different times.
+//   2. The serve runtime (queue + session pool, each session with its own
+//      KV cache on the shared model) must stay data-race-free and
+//      bit-identical to sequential decode under maximum contention: more
+//      runnable session threads than cores, repeated run() reuse, sessions
+//      finishing their rows at different times.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -85,9 +86,8 @@ TEST(ServeStressDeathTest, SharedTransformerAcrossBatchWorkersAborts) {
 }
 
 // The supported spellings of the same workload must NOT die: one decoder
-// per thread via TransformerSession (its own KV cache view), or the serve
-// runtime (which routes forwards through the Batcher, never the internal
-// cache).
+// per thread via TransformerSession (its own KV cache view), which is also
+// what every serve session decodes through.
 TEST(ServeStress, PerThreadSessionsDecodeTheSharedModelSafely) {
   // The factory runs concurrently on the worker threads, so the session
   // pool keeping the borrowed LanguageModels alive needs its own lock.

@@ -49,9 +49,10 @@ REQUIRED_BACKEND_ABLATION_KEYS = ("subprocess_available", "bit_identical",
                                   "degraded_backend")
 REQUIRED_BACKEND_STATS_KEYS = ("checks", "faults", "spawn_failures",
                                "respawns", "degraded")
-# Serve sweep block (--compare-serve): the batched serving runtime's
-# worker x batch throughput sweep, each configuration checked bit-identical
-# against the sequential decode (BENCH_8.json, figure serve_throughput).
+# Serve sweep block (--compare-serve): the serving runtime's worker x batch
+# throughput sweep, each configuration checked bit-identical against the
+# sequential decode (figure serve_throughput; BENCH_8.json is the committed
+# record of the earlier rendezvous design).
 REQUIRED_SERVE_KEYS = ("rows", "seq_rows_per_sec", "bit_identical", "runs")
 REQUIRED_SERVE_RUN_KEYS = ("workers", "batch", "rows_per_sec",
                            "speedup_vs_sequential", "mean_batch_width",
@@ -302,10 +303,12 @@ def check_backend_ablation(path):
 
 
 def check_serve(path):
-    """Gate on the serve throughput sweep (BENCH_8.json): every worker x
-    batch configuration must decode bit-identically to the sequential
-    reference with no degraded rows, and at least one multi-session
-    configuration must have realized actual batching (mean width > 1).
+    """Gate on the serve throughput sweep (bench_serve_throughput --json):
+    every worker x batch configuration must decode bit-identically to the
+    sequential reference with no degraded rows. Every session runs its own
+    LM forwards, so each run must report a mean width of exactly 1.0, and
+    all runs must report the same batched_forwards: the forward work of a
+    workload does not depend on how many sessions share it.
     Throughput itself is reported, not gated — CI machines are too noisy for
     a speedup assertion. A missing FILE is a clean skip (exit 0), never a
     traceback — baselines regenerate on their own cadence.
@@ -334,7 +337,6 @@ def check_serve(path):
     if not isinstance(runs, list) or not runs:
         errors.append(f"{path}: serve has no 'runs' array")
         runs = []
-    batched_width = 0.0
     for i, run in enumerate(runs):
         if not isinstance(run, dict):
             errors.append(f"{path}: serve.runs[{i}] is not an object")
@@ -342,28 +344,31 @@ def check_serve(path):
         for key in REQUIRED_SERVE_RUN_KEYS:
             if key not in run:
                 errors.append(f"{path}: serve.runs[{i}] is missing {key!r}")
+        where = f"serve.runs[{i}] ({run.get('workers')}x{run.get('batch')})"
         if run.get("bit_identical") is not True:
-            errors.append(f"{path}: serve.runs[{i}] "
-                          f"({run.get('workers')}x{run.get('batch')}) is not "
-                          "bit-identical")
+            errors.append(f"{path}: {where} is not bit-identical")
         if int(run.get("degraded_rows", 0)) != 0:
-            errors.append(f"{path}: serve.runs[{i}] degraded "
+            errors.append(f"{path}: {where} degraded "
                           f"{run['degraded_rows']} row(s)")
         if float(run.get("rows_per_sec", 0.0)) <= 0.0:
-            errors.append(f"{path}: serve.runs[{i}] reports no throughput")
-        if int(run.get("workers", 0)) * int(run.get("batch", 0)) > 1:
-            batched_width = max(batched_width,
-                                float(run.get("mean_batch_width", 0.0)))
-    if runs and batched_width <= 1.0:
-        errors.append(f"{path}: no multi-session configuration realized any "
-                      f"batching (best mean width {batched_width:.2f})")
+            errors.append(f"{path}: {where} reports no throughput")
+        width = float(run.get("mean_batch_width", 0.0))
+        if width != 1.0:
+            errors.append(f"{path}: {where} reports mean width {width:.2f}; "
+                          "every session must run its own forwards (1.0)")
+    forwards = sorted({int(r.get("batched_forwards", 0)) for r in runs
+                       if isinstance(r, dict)})
+    if len(forwards) > 1:
+        errors.append(f"{path}: runs report different batched_forwards "
+                      f"{forwards}; forward work must not depend on "
+                      "workers x batch")
     if not errors:
         best = max((float(r.get("rows_per_sec", 0.0)) for r in runs),
                    default=0.0)
         seq = float(serve.get("seq_rows_per_sec", 0.0))
         print(f"{path}: serve sweep ok — {len(runs)} configs bit-identical, "
               f"best {best:.1f} rows/s vs {seq:.1f} sequential, "
-              f"best mean batch width {batched_width:.2f}")
+              f"{forwards[0] if forwards else 0} forwards in every config")
     return errors
 
 
@@ -473,8 +478,9 @@ def self_test():
         print("self-test FAILED: missing serve report did not skip cleanly",
               file=sys.stderr)
         return False
-    # The serve gate itself: a good sweep passes, a mismatched or width-less
-    # one fails.
+    # The serve gate itself: a good sweep passes; a mismatched or degraded
+    # one, one with a fused forward, or one whose forward count depends on
+    # the configuration fails.
     import tempfile
     good_serve = {
         "schema_version": 1, "figure": "serve_throughput",
@@ -487,8 +493,8 @@ def self_test():
                  "batched_forwards": 375, "degraded_rows": 0,
                  "bit_identical": True},
                 {"workers": 1, "batch": 4, "rows_per_sec": 420.0,
-                 "speedup_vs_sequential": 1.13, "mean_batch_width": 3.2,
-                 "batched_forwards": 116, "degraded_rows": 0,
+                 "speedup_vs_sequential": 1.13, "mean_batch_width": 1.0,
+                 "batched_forwards": 375, "degraded_rows": 0,
                  "bit_identical": True},
             ],
         },
@@ -499,7 +505,11 @@ def self_test():
         {**good_serve, "serve": {**good_serve["serve"], "runs": [
             {**good_serve["serve"]["runs"][1], "degraded_rows": 2}]}},
         {**good_serve, "serve": {**good_serve["serve"], "runs": [
-            {**good_serve["serve"]["runs"][1], "mean_batch_width": 1.0}]}},
+            good_serve["serve"]["runs"][0],
+            {**good_serve["serve"]["runs"][1], "mean_batch_width": 3.2}]}},
+        {**good_serve, "serve": {**good_serve["serve"], "runs": [
+            good_serve["serve"]["runs"][0],
+            {**good_serve["serve"]["runs"][1], "batched_forwards": 116}]}},
     ]
     with tempfile.TemporaryDirectory() as tmp:
         p = pathlib.Path(tmp) / "BENCH_8.json"
@@ -539,9 +549,9 @@ def main():
                         help="validate FILE and fail unless its serve sweep"
                              " shows every worker x batch configuration"
                              " bit-identical to the sequential decode with no"
-                             " degraded rows and realized batching; a missing"
-                             " FILE or a report without the block is a clear"
-                             " skip")
+                             " degraded rows, a mean width of 1.0 and the"
+                             " same forward count; a missing FILE or a report"
+                             " without the block is a clear skip")
     parser.add_argument("--compare-backend", metavar="FILE",
                         help="validate FILE and fail unless its"
                              " backend_ablation shows subprocess/degraded"

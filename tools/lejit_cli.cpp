@@ -351,9 +351,9 @@ int cmd_impute(const Args& args) {
   return 0;
 }
 
-// Batched serving runtime (DESIGN.md §13): decode many rows through a pooled
-// Server instead of a single sequential decoder, and report the realized
-// throughput and batching. With --verify, the same workload is re-decoded
+// Serving runtime (DESIGN.md §13): decode many rows through a pooled Server
+// of independent sessions instead of a single sequential decoder, and report
+// the realized throughput and LM forwards. With --verify, the same workload is re-decoded
 // sequentially and the outputs are compared byte for byte — serve's
 // determinism contract says they must match exactly.
 int cmd_serve_bench(const Args& args) {
@@ -413,9 +413,8 @@ int cmd_serve_bench(const Args& args) {
                    1)
             << " rows/s) with " << serve_config.workers << " worker(s) x "
             << serve_config.batch << " session(s); " << ok << " ok, "
-            << stats.degraded_rows << " degraded; mean batch width "
-            << util::format_double(stats.mean_batch_width(), 2) << " over "
-            << stats.batched_forwards << " batched forwards\n";
+            << stats.degraded_rows << " degraded; "
+            << stats.batched_forwards << " LM forwards\n";
 
   if (args.has("verify")) {
     core::GuidedDecoder decoder(model, tokenizer, layout, rules,
@@ -724,10 +723,11 @@ void usage() {
       "  impute   --model FILE --rules FILE --prompts FILE [--seed S]\n"
       "  serve-bench --model FILE --rules FILE [--count N | --prompts FILE]\n"
       "           [--workers W] [--batch B] [--seed S] [--verify]\n"
-      "           decode rows through the batched serving runtime (W worker\n"
-      "           groups x B pooled sessions, cross-row batched LM forwards)\n"
-      "           and report throughput. --verify re-decodes sequentially\n"
-      "           and exits 1 unless serve output is bit-identical\n"
+      "           decode rows through the serving runtime (W workers x B\n"
+      "           sessions per worker, each session running its own LM\n"
+      "           forwards) and report throughput. --verify re-decodes\n"
+      "           sequentially and exits 1 unless serve output is\n"
+      "           bit-identical\n"
       "  check    --rules FILE --rows FILE\n"
       "  lint     --rules FILE [--coarse] [--json] [--no-dead-rules]\n"
       "           static rule-set analysis: unsatisfiability (with a minimal\n"
