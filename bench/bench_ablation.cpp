@@ -5,8 +5,14 @@
 //   B. rule-set size vs decode cost — how solver-in-the-loop overhead scales
 //      with the number of enforced rules;
 //   C. forced-literal skipping — LM calls saved by not sampling characters
-//      the syntax already determines.
+//      the syntax already determines;
+//   D. minimal invasiveness — how much probability mass the mask removes;
+//   E. just-in-time mask resolution — solver checks and wall time saved by
+//      deciding only the candidates that can change the sampled token.
 #include <iostream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "harness.hpp"
 #include "telemetry/text.hpp"
@@ -31,7 +37,7 @@ int main(int argc, char** argv) {
     if (static_cast<int>(prompts.size()) == kSamples) break;
   }
 
-  // --- A: guidance mode ---------------------------------------------------------
+  // --- A: guidance mode ------------------------------------------------------
   {
     bench::Table table(
         "Ablation A — guidance mode (imputation, mined rules as the check)",
@@ -84,7 +90,7 @@ int main(int argc, char** argv) {
                  "instead)\n";
   }
 
-  // --- B: rule-set size scaling -----------------------------------------------
+  // --- B: rule-set size scaling ----------------------------------------------
   {
     bench::Table table("Ablation B — decode cost vs enforced-rule count",
                        {"rule families", "#rules", "ms/sample",
@@ -115,8 +121,9 @@ int main(int argc, char** argv) {
       const rules::RuleSet set =
           rules::mine_rules(env.train, env.layout, env.dataset.limits, c.config)
               .rules;
-      core::GuidedDecoder dec(*env.model, env.tokenizer, env.layout, set,
-                              core::DecoderConfig{.mode = core::GuidanceMode::kFull});
+      core::GuidedDecoder dec(
+          *env.model, env.tokenizer, env.layout, set,
+          core::DecoderConfig{.mode = core::GuidanceMode::kFull});
       util::Rng rng(2);
       std::vector<Window> outputs;
       std::int64_t checks = 0;
@@ -138,26 +145,29 @@ int main(int argc, char** argv) {
     table.print();
   }
 
-  // --- D: minimal invasiveness (paper §3) ---------------------------------------
+  // --- D: minimal invasiveness (paper §3) ------------------------------------
   // How much does the solver actually override the LM? Mean probability mass
   // removed per masked step and the fraction of steps where the LM's argmax
-  // was pruned, for both tasks.
+  // was pruned, for both tasks. Masks resolve eagerly here: a lazy step
+  // reports only a lower bound on the mass it removed.
+  struct TaskCase {
+    std::string name;
+    const rules::RuleSet* rules;
+    bool imputation;
+  };
+  const std::vector<TaskCase> tasks{
+      {"imputation (mined)", &env.mined, true},
+      {"synthesis (coarse)", &env.mined_coarse, false}};
   {
     bench::Table table(
         "Ablation D — minimal invasiveness of LeJIT's guidance",
         {"task", "masked steps/sample", "mean removed mass",
          "argmax pruned"});
-    struct TaskCase {
-      std::string name;
-      const rules::RuleSet* rules;
-      bool imputation;
-    };
-    const rules::RuleSet coarse = env.mined_coarse;
-    for (const auto& t :
-         {TaskCase{"imputation (mined)", &env.mined, true},
-          TaskCase{"synthesis (coarse)", &coarse, false}}) {
+    for (const TaskCase& t : tasks) {
+      core::DecoderConfig config{.mode = core::GuidanceMode::kFull};
+      config.lazy_mask = false;
       core::GuidedDecoder dec(*env.model, env.tokenizer, env.layout, *t.rules,
-                              core::DecoderConfig{.mode = core::GuidanceMode::kFull});
+                              config);
       util::Rng rng(4);
       std::int64_t masked = 0, interventions = 0;
       double removed = 0.0;
@@ -183,7 +193,64 @@ int main(int argc, char** argv) {
                  "the paper's 'a little guidance goes a long way')\n";
   }
 
-  // --- C: forced-literal skipping ----------------------------------------------
+  // --- E: just-in-time mask resolution (DESIGN.md §9.4) ---------------------
+  // The price of resolving every candidate before the LM call: the same rows
+  // decoded with masks resolved eagerly and lazily. Both decoders stay warm
+  // across kRounds alternating passes over the prompts, and each leg's time
+  // is the sum over its passes.
+  {
+    constexpr int kRounds = 5;
+    bench::Table table(
+        "Ablation E — just-in-time mask resolution (kFull, same rows)",
+        {"task", "masks", "solver checks/sample", "ms/sample",
+         "undecided/sample", "rows"});
+    for (const TaskCase& t : tasks) {
+      struct Leg {
+        std::unique_ptr<core::GuidedDecoder> dec;
+        std::vector<std::string> rows;
+        std::int64_t checks = 0;
+        std::int64_t unresolved = 0;
+        double ms = 0.0;
+      };
+      Leg legs[2];  // eager, lazy
+      for (int lazy = 0; lazy < 2; ++lazy) {
+        core::DecoderConfig config{.mode = core::GuidanceMode::kFull};
+        config.lazy_mask = lazy == 1;
+        legs[lazy].dec = std::make_unique<core::GuidedDecoder>(
+            *env.model, env.tokenizer, env.layout, *t.rules, config);
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < 2; ++i) {
+          Leg& leg = legs[(round + i) % 2];
+          util::Rng rng(5);
+          util::Timer timer;
+          for (const Window& w : prompts) {
+            const auto r = leg.dec->generate(
+                rng, t.imputation ? telemetry::imputation_prompt(w) : "");
+            if (round == 0) leg.rows.push_back(r.text);
+            leg.checks += r.stats.solver_checks;
+            leg.unresolved += r.stats.unresolved_candidates;
+          }
+          leg.ms += timer.elapsed_ms();
+        }
+      }
+      const double n = static_cast<double>(prompts.size()) * kRounds;
+      for (int lazy = 0; lazy < 2; ++lazy) {
+        const Leg& leg = legs[lazy];
+        table.add_row(
+            {t.name, lazy == 1 ? "lazy" : "eager",
+             bench::fmt(static_cast<double>(leg.checks) / n, 1),
+             bench::fmt(leg.ms / n, 3),
+             bench::fmt(static_cast<double>(leg.unresolved) / n, 1),
+             lazy == 0                    ? "reference"
+             : leg.rows == legs[0].rows ? "identical"
+                                          : "DIFFERENT"});
+      }
+    }
+    table.print();
+  }
+
+  // --- C: forced-literal skipping --------------------------------------------
   {
     bench::Table table("Ablation C — skipping LM calls on forced syntax",
                        {"skip_forced_literals", "LM calls/sample",

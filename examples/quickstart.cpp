@@ -96,8 +96,9 @@ void part2_lejit_pipeline() {
             << train.size() << " training windows\n";
 
   // LeJIT: the solver joins the LM's decoding loop.
-  core::GuidedDecoder lejit(model, tokenizer, layout, mined,
-                            core::DecoderConfig{.mode = core::GuidanceMode::kFull});
+  core::GuidedDecoder lejit(
+      model, tokenizer, layout, mined,
+      core::DecoderConfig{.mode = core::GuidanceMode::kFull});
   util::Rng rng(7);
   const telemetry::Window& truth = split.test.racks[0].windows[3];
   const auto result = lejit.generate(rng, telemetry::imputation_prompt(truth));
@@ -111,7 +112,8 @@ void part2_lejit_pipeline() {
             << mined.size() << " rules\n";
   std::cout << "solver calls: " << result.stats.solver_checks
             << ", LM calls: " << result.stats.lm_calls
-            << ", mask removed " << bench_fmt(result.stats.mean_removed_mass())
+            << ", mask removed at least "
+            << bench_fmt(result.stats.mean_removed_mass())
             << " of probability mass per step\n";
 }
 

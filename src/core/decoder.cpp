@@ -1,6 +1,7 @@
 #include "core/decoder.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <optional>
 #include <span>
@@ -63,6 +64,8 @@ class StatsFlush {
         registry.counter("decode.budget_exhausted");
     static obs::Counter& c_guidance =
         registry.counter("decode.guidance_escalations");
+    static obs::Counter& c_unresolved =
+        registry.counter("decode.mask.unresolved");
     c_rows.inc();
     c_chars.add(result_.stats.chars);
     c_lm_calls.add(result_.stats.lm_calls);
@@ -76,6 +79,7 @@ class StatsFlush {
     if (result_.reason == FailReason::kEmptyMask) c_empty_mask.inc();
     if (result_.reason == FailReason::kBudgetExhausted) c_budget.inc();
     if (result_.guidance_escalated) c_guidance.inc();
+    c_unresolved.add(result_.stats.unresolved_candidates);
     static obs::Counter& c_table_hits =
         registry.counter("decode.plan.table_hits");
     static obs::Counter& c_sliced =
@@ -414,7 +418,8 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
                                 : config_.solver.max_nodes;
     b.max_nodes = base_nodes * factor;
     if (res.check_deadline_ms > 0)
-      b.deadline_ns = obs::now_ns() + res.check_deadline_ms * factor * 1'000'000;
+      b.deadline_ns =
+          obs::now_ns() + res.check_deadline_ms * factor * 1'000'000;
     if (row_deadline_ns != 0 &&
         (b.deadline_ns == 0 || row_deadline_ns < b.deadline_ns))
       b.deadline_ns = row_deadline_ns;
@@ -550,7 +555,11 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
     std::string note;
   };
 
-  const auto mask_buf = std::make_unique<bool[]>(static_cast<std::size_t>(vocab));
+  // Per-token buffers of the current step: what is known of each token,
+  // and the boolean mask sample_token reads once everything is decided.
+  std::vector<lm::TokenState> states(static_cast<std::size_t>(vocab));
+  const auto mask_buf =
+      std::make_unique<bool[]>(static_cast<std::size_t>(vocab));
   const std::span<bool> mask(mask_buf.get(), static_cast<std::size_t>(vocab));
 
   // One decode attempt under the current mode/resume/ban state. Writes
@@ -748,54 +757,189 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
     pending_feasibility_check = false;  // held before the rewind point
     replaying = false;  // pins from here on are mask-validated first
 
-    // Compute the legal-character mask for the current walk state. Returns
-    // the number of legal tokens.
+    // --- the current step's candidates ------------------------------------
+    // compute_mask() opens a step: it lists the tokens the step's syntax
+    // allows as candidates, sets up the routing that decides them, and
+    // decides as many as the step needs before the LM call. A lazy step
+    // (DESIGN.md §9.4) leaves the rest undecided, so the step's routing
+    // stays live across the LM call until choose() has picked its token.
+    // Eager steps (lazy_mask off, kHull and kSyntax, greedy or top-k
+    // sampling) decide every candidate up front.
+    const bool lazy = config_.lazy_mask && mode == GuidanceMode::kFull &&
+                      config_.sampler.temperature > 0.0 &&
+                      config_.sampler.top_k == 0;
+    // Candidate tokens in decision order: a literal, or the digits
+    // ascending and then the terminator.
+    std::array<int, 11> candidates{};
+    int n_candidates = 0;
+    int terminator_token = -1;  // the candidate that terminates the field
+    int legal = 0;              // candidates decided legal
+    int undecided = 0;          // candidates not decided yet
+
+    // Routing of the current digit step, read by each of its probes:
+    //   var, max_digits  the field's solver variable and digit budget,
+    //   plan_cluster  the field's cluster (-1 = no rule references it;
+    //                 -2 = plan off this attempt),
+    //   table         the field's digit table, if the plan has one,
+    //   qsolver/qfp   the solver and fingerprint answering live queries —
+    //                 the cluster's sliced solver when one exists, else
+    //                 the full solver,
+    //   others_ok     every *other* cluster's pinned state is satisfiable;
+    //                 when false, no completion of this field exists and
+    //                 the whole digit section masks out (exactly what the
+    //                 unsliced queries would conclude one by one),
+    //   always_ok     table always-bits may answer — they describe
+    //                 completability under the cluster rules *alone*, so
+    //                 they need a pin/ban-free cluster, a prefix that was
+    //                 mask-validated (not begun inside the prompt), and
+    //                 others_ok.
+    smt::VarId var;
+    int max_digits = 0;
+    int plan_cluster = -2;
+    const plan::DigitTable* table = nullptr;
+    smt::Backend* qsolver = nullptr;
+    std::uint64_t qfp = 0;
+    bool others_ok = true;
+    bool always_ok = false;
+
+    // The one probe chain (DESIGN.md §9.2): is some completion of `p`
+    // (kCompletion) or the exact value of `p` (kExact) still feasible?
+    // Stages run in a fixed order, and the first that can answer does:
+    //   1. plan: every other cluster satisfiable, the digit table's never
+    //      and always bits for `table_bit`, and the declared domain of a
+    //      field no rule references;
+    //   2. hull (cache on): refute a probe that misses the hull, admit one
+    //      holding a witness or an exact hull's endpoint;
+    //   3. the verdict memo (cache on), then 4. the answering solver under
+    //      the kUnknown policy (both in admitted()).
+    // Every stage agrees with what the solver would answer, so the mask,
+    // and therefore the decoded text, does not depend on which one did.
+    const auto feasible = [&](QueryKind kind, const DigitPrefix& p,
+                              int table_bit) {
+      const bool is_exact = kind == QueryKind::kExact;
+      const auto meets = [&](const smt::Interval& iv) {
+        return is_exact ? iv.contains(p.value)
+                        : completion_intersects(p, max_digits, iv);
+      };
+      const auto holds = [&](Int v) {
+        return is_exact ? v == p.value : completion_contains(p, max_digits, v);
+      };
+      if (plan_attempt) {
+        if (!others_ok) return false;
+        const int k = walk.digits.digits;
+        if (table && table->row_verified(k)) {
+          // never is monotone-sound under any pins/bans (they only
+          // remove completions); always needs the clean-cluster gate.
+          if (table->never_bit(k, table_bit)) {
+            ++result.stats.plan_table_hits;
+            return false;
+          }
+          if (always_ok && table->always_bit(k, table_bit)) {
+            ++result.stats.plan_table_hits;
+            return true;
+          }
+        }
+        // No rule references this field: completability against the
+        // declared domain is the exact verdict, solver-free.
+        if (plan_cluster == -1)
+          return meets(smt::Interval{
+              0, layout_.fields[static_cast<std::size_t>(walk.field)]
+                     .max_value});
+        ++result.stats.plan_sliced_queries;
+        result.stats.plan_sliced_rules +=
+            cluster_live_rules_[static_cast<std::size_t>(plan_cluster)];
+      }
+      if (use_cache) {
+        const smt::Interval& b = full_hull->bounds;
+        const bool refuted = !meets(b);
+        if (refuted || std::ranges::any_of(full_hull->witnesses, holds) ||
+            (full_hull->exact && (holds(b.lo) || holds(b.hi)))) {
+          if (obs::metrics_enabled()) hull_conclusive_counter().inc();
+          return !refuted;
+        }
+      }
+      const smt::Formula f =
+          is_exact ? smt::eq(smt::LinExpr(var), smt::LinExpr(p.value))
+                   : prefix_completion_formula(var, p, max_digits);
+      bool live_sat = false;
+      const bool ok = admitted(*qsolver, std::span(&f, 1), kind, qfp,
+                               walk.field, p.value, is_exact ? 0 : p.digits,
+                               &live_sat);
+      if (live_sat && use_cache) {
+        // Backends may lose the model (e.g. a degraded external check);
+        // a missing witness is only a cache miss, never an error.
+        if (is_exact)
+          full_hull->add_witness(p.value);
+        else if (const auto w = qsolver->model_value(var))
+          full_hull->add_witness(*w);
+      }
+      return ok;
+    };
+
+    // Decides whether candidate `tok` of the current digit step is legal.
+    const auto decide = [&](int tok) {
+      const bool ok = [&] {
+        if (tok == terminator_token) {
+          if (mode == GuidanceMode::kFull)
+            return feasible(QueryKind::kExact, walk.digits,
+                            plan::kTerminatorBit);
+          return mode != GuidanceMode::kHull ||
+                 field_hull->contains(walk.digits.value);
+        }
+        const int d = tokenizer_.decode_char(tok) - '0';
+        const DigitPrefix next = walk.digits.extended(d);
+        if (mode == GuidanceMode::kFull)
+          return feasible(QueryKind::kCompletion, next, d);
+        return mode != GuidanceMode::kHull ||
+               completion_intersects(next, max_digits, *field_hull);
+      }();
+      states[static_cast<std::size_t>(tok)] =
+          ok ? lm::TokenState::kLegal : lm::TokenState::kIllegal;
+      --undecided;
+      if (ok) ++legal;
+    };
+
+    // Opens the current step and returns the number of candidates known
+    // legal. Below two (one without forced-literal skipping), every
+    // candidate has been decided.
     const auto compute_mask = [&]() -> int {
-      std::fill(mask.begin(), mask.end(), false);
-      int legal = 0;
-      const auto allow = [&](char c) {
-        mask[static_cast<std::size_t>(tokenizer_.encode_char(c))] = true;
-        ++legal;
+      std::ranges::fill(states, lm::TokenState::kIllegal);
+      n_candidates = 0;
+      terminator_token = -1;
+      legal = 0;
+      undecided = 0;
+      const auto add_candidate = [&](char c) {
+        const int tok = tokenizer_.encode_char(c);
+        candidates[static_cast<std::size_t>(n_candidates++)] = tok;
+        states[static_cast<std::size_t>(tok)] = lm::TokenState::kUndecided;
+        ++undecided;
+        return tok;
+      };
+      const auto allow_literal = [&](char c) {
+        states[static_cast<std::size_t>(add_candidate(c))] =
+            lm::TokenState::kLegal;
+        undecided = 0;
+        legal = 1;
+        return legal;
       };
 
-      if (walk.in_suffix(layout_)) {
-        allow(layout_.suffix[walk.suffix_pos]);
-        return legal;
-      }
+      if (walk.in_suffix(layout_))
+        return allow_literal(layout_.suffix[walk.suffix_pos]);
       const auto& spec = layout_.fields[static_cast<std::size_t>(walk.field)];
-      if (walk.prefix_pos < spec.prefix.size()) {
-        allow(spec.prefix[walk.prefix_pos]);
-        return legal;
-      }
+      if (walk.prefix_pos < spec.prefix.size())
+        return allow_literal(spec.prefix[walk.prefix_pos]);
 
-      const smt::VarId var = vars_[static_cast<std::size_t>(walk.field)];
-      const int max_digits = digits_for(spec.max_value);
-
-      // Decode-plan routing for this field (kFull plan attempts only):
-      //   plan_cluster  the field's cluster (-1 = no rule references it;
-      //                 -2 = plan off this attempt),
-      //   qsolver/qfp   the solver and fingerprint answering live queries —
-      //                 the cluster's sliced solver when one exists, else
-      //                 the full solver,
-      //   others_ok     every *other* cluster's pinned state is satisfiable;
-      //                 when false, no completion of this field exists and
-      //                 the whole digit section masks out (exactly what the
-      //                 unsliced queries would conclude one by one),
-      //   always_ok     table always-bits may answer — they describe
-      //                 completability under the cluster rules *alone*, so
-      //                 they need a pin/ban-free cluster, a prefix that was
-      //                 mask-validated (not begun inside the prompt), and
-      //                 others_ok.
-      const int plan_cluster =
+      var = vars_[static_cast<std::size_t>(walk.field)];
+      max_digits = digits_for(spec.max_value);
+      plan_cluster =
           plan_attempt
               ? plan_->field_cluster[static_cast<std::size_t>(walk.field)]
               : -2;
-      const plan::DigitTable* const table =
-          plan_attempt ? plan_->table_for(walk.field) : nullptr;
-      smt::Backend* qsolver = solver_.get();
-      std::uint64_t qfp = fp;
-      bool others_ok = true;
-      bool always_ok = false;
+      table = plan_attempt ? plan_->table_for(walk.field) : nullptr;
+      qsolver = solver_.get();
+      qfp = fp;
+      others_ok = true;
+      always_ok = false;
       if (plan_attempt) {
         for (std::size_t d = 0; d < n_clusters; ++d)
           if (static_cast<int>(d) != plan_cluster && !cluster_feasible(d)) {
@@ -843,106 +987,114 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
         }
       }
 
-      // The one probe chain (DESIGN.md §9.2): is some completion of `p`
-      // (kCompletion) or the exact value of `p` (kExact) still feasible?
-      // Stages run in a fixed order, and the first that can answer does:
-      //   1. plan: every other cluster satisfiable, the digit table's never
-      //      and always bits for `table_bit`, and the declared domain of a
-      //      field no rule references;
-      //   2. hull (cache on): refute a probe that misses the hull, admit one
-      //      holding a witness or an exact hull's endpoint;
-      //   3. the verdict memo (cache on), then 4. the answering solver under
-      //      the kUnknown policy (both in admitted()).
-      // Every stage agrees with what the solver would answer, so the mask,
-      // and therefore the decoded text, does not depend on which one did.
-      const auto feasible = [&](QueryKind kind, const DigitPrefix& p,
-                                int table_bit) {
-        const bool is_exact = kind == QueryKind::kExact;
-        const auto meets = [&](const smt::Interval& iv) {
-          return is_exact ? iv.contains(p.value)
-                          : completion_intersects(p, max_digits, iv);
-        };
-        const auto holds = [&](Int v) {
-          return is_exact ? v == p.value
-                          : completion_contains(p, max_digits, v);
-        };
-        if (plan_attempt) {
-          if (!others_ok) return false;
-          const int k = walk.digits.digits;
-          if (table && table->row_verified(k)) {
-            // never is monotone-sound under any pins/bans (they only
-            // remove completions); always needs the clean-cluster gate.
-            if (table->never_bit(k, table_bit)) {
-              ++result.stats.plan_table_hits;
-              return false;
-            }
-            if (always_ok && table->always_bit(k, table_bit)) {
-              ++result.stats.plan_table_hits;
-              return true;
-            }
-          }
-          // No rule references this field: completability against the
-          // declared domain is the exact verdict, solver-free.
-          if (plan_cluster == -1)
-            return meets(smt::Interval{0, spec.max_value});
-          ++result.stats.plan_sliced_queries;
-          result.stats.plan_sliced_rules +=
-              cluster_live_rules_[static_cast<std::size_t>(plan_cluster)];
-        }
-        if (use_cache) {
-          const smt::Interval& b = full_hull->bounds;
-          const bool refuted = !meets(b);
-          if (refuted ||
-              std::ranges::any_of(full_hull->witnesses, holds) ||
-              (full_hull->exact && (holds(b.lo) || holds(b.hi)))) {
-            if (obs::metrics_enabled()) hull_conclusive_counter().inc();
-            return !refuted;
-          }
-        }
-        const smt::Formula f =
-            is_exact ? smt::eq(smt::LinExpr(var), smt::LinExpr(p.value))
-                     : prefix_completion_formula(var, p, max_digits);
-        bool live_sat = false;
-        const bool ok = admitted(*qsolver, std::span(&f, 1), kind, qfp,
-                                 walk.field, p.value, is_exact ? 0 : p.digits,
-                                 &live_sat);
-        if (live_sat && use_cache) {
-          // Backends may lose the model (e.g. a degraded external check);
-          // a missing witness is only a cache miss, never an error.
-          if (is_exact)
-            full_hull->add_witness(p.value);
-          else if (const auto w = qsolver->model_value(var))
-            full_hull->add_witness(*w);
-        }
-        return ok;
-      };
-
-      // Digits that keep some completion reachable.
+      // Digits that extend the prefix within the syntax.
       for (int d = 0; d <= 9; ++d) {
         if (!walk.digits.empty() && !walk.digits.can_extend(max_digits)) break;
-        const DigitPrefix next = walk.digits.extended(d);
-        if (!prefix_syntactically_ok(next, max_digits)) continue;
-        if (mode == GuidanceMode::kFull) {
-          if (!feasible(QueryKind::kCompletion, next, d)) continue;
-        } else if (mode == GuidanceMode::kHull) {
-          if (!completion_intersects(next, max_digits, *field_hull)) continue;
-        }
-        allow(static_cast<char>('0' + d));
+        if (prefix_syntactically_ok(walk.digits.extended(d), max_digits))
+          add_candidate(static_cast<char>('0' + d));
       }
       // Terminating the field on its exact current value. A banned value
       // must not be re-pinned, whichever mode is active (kFull would also
       // learn this from the asserted ban).
-      if (!walk.digits.empty()) {
-        const std::pair<int, Int> pin{walk.field, walk.digits.value};
-        bool can_end = std::ranges::find(banned, pin) == banned.end();
-        if (can_end && mode == GuidanceMode::kFull)
-          can_end = feasible(QueryKind::kExact, walk.digits,
-                             plan::kTerminatorBit);
-        else if (can_end && mode == GuidanceMode::kHull)
-          can_end = field_hull->contains(walk.digits.value);
-        if (can_end) allow(walk.terminator(layout_));
-      }
+      if (!walk.digits.empty() &&
+          std::ranges::find(banned, std::pair<int, Int>{
+                                        walk.field, walk.digits.value}) ==
+              banned.end())
+        terminator_token = add_candidate(walk.terminator(layout_));
+
+      // Decide in order until the step is known to need the LM.
+      const int enough = config_.skip_forced_literals ? 2 : 1;
+      for (int i = 0; i < n_candidates && !(lazy && legal >= enough); ++i)
+        decide(candidates[static_cast<std::size_t>(i)]);
       return legal;
+    };
+
+    // After the LM call: the token a masked step emits. Decides the LM's
+    // argmax first, so interventions stay exact. A lazy step then draws the
+    // uniform exactly when sample_token would, once some legal mass is
+    // known, and decides the other candidates in decreasing probability
+    // only until settled_pick() names the token that every outcome of the
+    // rest would pick. An eager step has nothing left to decide and samples
+    // as it always has, through sample_token.
+    const auto choose = [&](std::span<const float> logits) -> int {
+      // Deciding is timed as mask_build and everything else as sampling, in
+      // disjoint spans.
+      const auto decide_timed = [&](int tok) {
+        const obs::Span span(obs::Phase::kMaskBuild);
+        decide(tok);
+      };
+      const auto state = [&](int tok) {
+        return states[static_cast<std::size_t>(tok)];
+      };
+      // One softmax serves the pick and removed_mass, which is measured at
+      // temperature 1, the default sampler temperature.
+      const double temperature = lazy ? config_.sampler.temperature : 1.0;
+      const std::vector<double> probs = [&] {
+        const obs::Span span(obs::Phase::kSampling);
+        return lm::softmax(logits, temperature);
+      }();
+      const auto argmax = static_cast<int>(std::ranges::max_element(logits) -
+                                           logits.begin());
+      if (state(argmax) == lm::TokenState::kUndecided) decide_timed(argmax);
+
+      const std::span<const int> listed(
+          candidates.data(), static_cast<std::size_t>(n_candidates));
+      const auto prob = [&](int t) {
+        return probs[static_cast<std::size_t>(t)];
+      };
+      int tok = -1;
+      double u = -1.0;  // the uniform draw, once taken
+      while (lazy) {
+        int next = -1;
+        {
+          const obs::Span span(obs::Phase::kSampling);
+          if (u < 0.0 && std::ranges::any_of(listed, [&](int t) {
+                return state(t) == lm::TokenState::kLegal && prob(t) > 0.0;
+              }))
+            u = rng.uniform();
+          if (u >= 0.0) tok = lm::settled_pick(probs, states, u);
+          if (tok < 0)
+            for (const int t : listed)
+              if (state(t) == lm::TokenState::kUndecided &&
+                  (next < 0 || prob(t) > prob(next)))
+                next = t;
+        }
+        if (next < 0) break;
+        decide_timed(next);
+      }
+
+      const obs::Span span(obs::Phase::kSampling);
+      if (tok < 0) {
+        // Every candidate is decided: the eager pick. On a lazy step this
+        // means no legal token has mass, so sample_token draws nothing.
+        for (std::size_t i = 0; i < states.size(); ++i)
+          mask[i] = states[i] == lm::TokenState::kLegal;
+        tok = lm::sample_token(logits, config_.sampler, rng, mask);
+      }
+
+      // removed_mass counts the mass proven illegal: exact once every
+      // candidate is decided, a lower bound while some are not.
+      const auto kept_mass = [&](std::span<const double> p) {
+        double kept = 0.0;
+        for (std::size_t i = 0; i < p.size(); ++i)
+          if (states[i] != lm::TokenState::kIllegal) kept += p[i];
+        return kept;
+      };
+      const double removed =
+          1.0 - (temperature == 1.0 ? kept_mass(probs)
+                                    : kept_mass(lm::softmax(logits, 1.0)));
+      result.stats.removed_mass += removed;
+      result.stats.unresolved_candidates += undecided;
+      if (state(argmax) != lm::TokenState::kLegal) {
+        ++result.stats.interventions;
+        // Histogram only the steps where the mask actually intervened:
+        // recording every masked step buries the distribution under a
+        // mountain of ~zero-removal entries and makes its percentiles
+        // meaningless. The scalar removed_mass sum above still covers all
+        // masked steps (DecodeStats::mean_removed_mass depends on that).
+        removed_mass_histogram().observe(removed);
+      }
+      return tok;
     };
 
     while (!walk.done(layout_)) {
@@ -950,20 +1102,20 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
         result.text = text;
         return {Outcome::kRowBudget, -1, 0, 0, std::move(*overrun)};
       }
-      const int legal = [&] {
+      const int known_legal = [&] {
         const obs::Span span(obs::Phase::kMaskBuild);
         return compute_mask();
       }();
-      if (legal == 0) {
+      if (known_legal == 0) {
         result.text = text;
         return {Outcome::kEmptyMask, -1, 0, 0,
                 "empty mask at char " + std::to_string(text.size())};
       }
 
       char emitted = 0;
-      if (legal == 1 && config_.skip_forced_literals) {
-        const auto it = std::find(mask.begin(), mask.end(), true);
-        emitted = tokenizer_.decode_char(static_cast<int>(it - mask.begin()));
+      if (known_legal == 1 && config_.skip_forced_literals) {
+        const auto it = std::ranges::find(states, lm::TokenState::kLegal);
+        emitted = tokenizer_.decode_char(static_cast<int>(it - states.begin()));
       } else {
         const std::vector<float> logits = [&] {
           const obs::Span span(obs::Phase::kLmForward);
@@ -971,24 +1123,7 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
         }();
         ++result.stats.lm_calls;
         ++result.stats.masked_steps;
-        const double mass = lm::allowed_mass(logits, mask);
-        result.stats.removed_mass += 1.0 - mass;
-        const auto argmax =
-            std::max_element(logits.begin(), logits.end()) - logits.begin();
-        if (!mask[static_cast<std::size_t>(argmax)]) {
-          ++result.stats.interventions;
-          // Histogram only the steps where the mask actually intervened:
-          // recording every masked step buries the distribution under a
-          // mountain of ~zero-removal entries and makes its percentiles
-          // meaningless. The scalar removed_mass sum above still covers all
-          // masked steps (DecodeStats::mean_removed_mass depends on that).
-          removed_mass_histogram().observe(1.0 - mass);
-        }
-        const int tok = [&] {
-          const obs::Span span(obs::Phase::kSampling);
-          return lm::sample_token(logits, config_.sampler, rng, mask);
-        }();
-        emitted = tokenizer_.decode_char(tok);
+        emitted = tokenizer_.decode_char(choose(logits));
       }
 
       advance(emitted);

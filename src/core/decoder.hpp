@@ -94,6 +94,14 @@ struct DecoderConfig {
   // When only one character is legal (literal syntax), emit it without an LM
   // forward pass. Disable to measure pure-LM timing.
   bool skip_forced_literals = true;
+  // Resolve kFull masks just in time (DESIGN.md §9.4): decide a step's
+  // candidates only until the sampled token is certain, instead of all of
+  // them before the LM call. Decoded text, lm_calls, masked_steps and
+  // interventions are bit-identical either way for a fixed seed (under the
+  // default budgets; §9.4 has the finite-budget caveat); only the solver
+  // work and removed_mass (a lower bound when lazy) differ. Greedy and
+  // top-k sampling always resolve eagerly. Off is the reference path.
+  bool lazy_mask = true;
   // Safety cap on generated tokens for unguided (kNone) decoding.
   int max_free_tokens = 512;
   // Configuration of the decoder-owned solver (node caps etc.).
@@ -144,7 +152,14 @@ struct DecodeStats {
   std::int64_t interventions = 0;      // steps where the mask pruned the argmax
   std::int64_t unknown_checks = 0;     // checks that came back inconclusive
   std::int64_t escalations = 0;        // budget-escalation retries spent
-  double removed_mass = 0.0;           // Σ(1 − allowed probability mass)
+  // Σ over masked steps of the LM probability mass (at temperature 1)
+  // proven illegal: every non-candidate token plus the candidates decided
+  // illegal. Exact under eager resolution, or on a step that decided every
+  // candidate; a lazy step that left some undecided adds a lower bound.
+  double removed_mass = 0.0;
+  // Candidates lazy steps never decided: their legality could not change
+  // the sampled token.
+  std::int64_t unresolved_candidates = 0;
   // Decode-plan effect (zero unless an active plan drove this row):
   std::int64_t plan_table_hits = 0;      // verdicts served by digit tables
   std::int64_t plan_sliced_queries = 0;  // verdicts routed to a cluster slice
@@ -159,7 +174,7 @@ struct DecodeStats {
   std::int64_t absint_hits = 0;
 
   // Mean probability mass the mask removed per masked step (0 ⇒ the solver
-  // never had to override the LM).
+  // never had to override the LM); a lower bound under lazy resolution.
   double mean_removed_mass() const {
     return masked_steps == 0 ? 0.0
                              : removed_mass / static_cast<double>(masked_steps);

@@ -6,6 +6,7 @@
 // "statistical fidelity" property the paper argues for.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -27,8 +28,26 @@ std::vector<double> softmax(std::span<const float> logits, double temperature);
 int sample_token(std::span<const float> logits, const SamplerConfig& config,
                  util::Rng& rng, std::span<const bool> mask = {});
 
-// Probability mass assigned to allowed tokens before renormalization —
-// LeJIT's "minimal invasiveness" diagnostic (1.0 means the mask was a no-op).
-double allowed_mass(std::span<const float> logits, std::span<const bool> mask);
+// The inverse-CDF pick sample_token makes for the uniform draw `u` in [0, 1):
+// the first token whose running sum of `probs`, in token-index order,
+// exceeds u · Σ probs. `probs` holds the masked probabilities (0 for a
+// disallowed token) and must have a positive sum.
+int pick_token(std::span<const double> probs, double u);
+
+// What a lazily resolved mask knows about one token.
+enum class TokenState : std::uint8_t { kIllegal, kLegal, kUndecided };
+
+// The stop rule of lazy mask resolution: the token pick_token returns for
+// draw `u` whatever the undecided tokens turn out to be — each either keeps
+// its probability (legal) or drops to 0 (illegal) — or -1 when two such
+// completions could pick differently. The rule bounds the legal mass, the
+// undecided mass and the running sums in token-index order with an absolute
+// margin of kSettleMargin, far above the rounding of any of those sums, and
+// answers -1 inside it. With no undecided mass left it is pick_token itself.
+// `probs` are the unmasked probabilities; the legal ones must have a
+// positive sum.
+int settled_pick(std::span<const double> probs,
+                 std::span<const TokenState> states, double u);
+inline constexpr double kSettleMargin = 1e-9;
 
 }  // namespace lejit::lm

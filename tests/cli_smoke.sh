@@ -62,6 +62,23 @@ run trace-output test -s trace.json
 run trace-content grep -q traceEvents trace.json
 run check "$CLI" check --rules rules.txt --rows rows.txt
 
+# Imputation over a prompt file: every coarse prompt must come back either
+# imputed or reported infeasible, and none may be misread as malformed.
+run generate-coarse "$CLI" generate --coarse --racks 3 --windows 30 --seed 77 --out prompts.txt 2>/dev/null
+STAGE=impute-prompts
+echo "[cli_smoke] stage: $STAGE" >&2
+"$CLI" impute --model model.bin --rules rules.txt --prompts prompts.txt \
+    2>impute_err.txt > imputed.txt
+status=$?
+counts=$(sed -n 's/^imputed \([0-9]*\) rows, \([0-9]*\) infeasible prompts$/\1 \2/p' impute_err.txt)
+set -- $counts
+if [ "$status" != 0 ] || [ "$#" != 2 ] || grep -q malformed impute_err.txt ||
+   [ $(($1 + $2)) != "$(grep -c . prompts.txt)" ]; then
+  echo "[cli_smoke] FAILED at stage: $STAGE" >&2
+  exit 1
+fi
+run impute-check "$CLI" check --rules rules.txt --rows imputed.txt
+
 # The compiled plan must load into a decode, drive it (plan counters in the
 # metrics export), and — the paper's invariant — change nothing about the
 # decoded rows: same seed, same text, so `check` still passes and the rows

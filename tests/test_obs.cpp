@@ -323,9 +323,9 @@ TEST(ObsDecodeMetrics, RemovedMassHistogramRecordsOnlyInterventions) {
   lm::NgramModel model(tokenizer.vocab_size(), lm::NgramConfig{.order = 4});
   const auto windows = telemetry::all_windows(dataset);
   model.observe(tokenizer.encode(telemetry::window_to_row(windows.front())));
-  core::GuidedDecoder dec(model, tokenizer, layout,
-                          rules::manual_rules(layout, dataset.limits),
-                          core::DecoderConfig{.mode = core::GuidanceMode::kFull});
+  core::GuidedDecoder dec(
+      model, tokenizer, layout, rules::manual_rules(layout, dataset.limits),
+      core::DecoderConfig{.mode = core::GuidanceMode::kFull});
 
   util::Rng rng(17);
   std::int64_t interventions = 0, masked_steps = 0;
@@ -339,6 +339,66 @@ TEST(ObsDecodeMetrics, RemovedMassHistogramRecordsOnlyInterventions) {
   ASSERT_GT(interventions, 0) << "fixture must force interventions";
   EXPECT_GT(masked_steps, interventions)
       << "fixture needs zero-removal masked steps for the gate to matter";
+}
+
+// A language model that spends a fixed 100 µs in every forward, so that any
+// span nested around an LM call would visibly count that time twice.
+class SlowModel : public lm::LanguageModel {
+ public:
+  explicit SlowModel(const lm::LanguageModel& inner) : inner_(inner) {}
+  int vocab_size() const override { return inner_.vocab_size(); }
+  std::vector<float> logits(std::span<const int> context) const override {
+    const std::int64_t until = obs::now_ns() + 100'000;
+    while (obs::now_ns() < until) {
+    }
+    return inner_.logits(context);
+  }
+
+ private:
+  const lm::LanguageModel& inner_;
+};
+
+TEST(ObsDecodeMetrics, PhaseTotalsOfARowStayWithinItsWallTime) {
+  // lm_forward, mask_build and sampling must stay disjoint. Totals are
+  // inclusive, so a phase nested inside another counts twice, and the
+  // three could then sum past the row's wall time — the unspanned time of
+  // a row would read negative.
+  const MetricsScope scope(true);
+  auto& tracer = obs::Tracer::instance();
+  const auto dataset = telemetry::generate_dataset(
+      telemetry::GeneratorConfig{.num_racks = 6, .windows_per_rack = 30,
+                                 .seed = 13});
+  const auto layout = telemetry::telemetry_row_layout(dataset.limits);
+  const lm::CharTokenizer tokenizer{telemetry::row_alphabet()};
+  const auto windows = telemetry::all_windows(dataset);
+  lm::NgramModel ngram(tokenizer.vocab_size(), lm::NgramConfig{.order = 6});
+  for (const auto& w : windows)
+    ngram.observe(tokenizer.encode(telemetry::window_to_row(w)));
+  const SlowModel model(ngram);
+  core::GuidedDecoder dec(
+      model, tokenizer, layout,
+      rules::mine_rules(windows, layout, dataset.limits).rules,
+      core::DecoderConfig{.mode = core::GuidanceMode::kFull});
+
+  util::Rng rng(5);
+  for (int row = 0; row < 6; ++row) {
+    tracer.reset();
+    const obs::Timer wall;
+    const core::DecodeResult r = dec.generate(
+        rng, row % 2 == 0 ? std::string()
+                          : telemetry::imputation_prompt(
+                                windows[static_cast<std::size_t>(row)]));
+    const std::int64_t wall_ns = wall.elapsed_ns();
+    ASSERT_TRUE(r.ok) << r.fail_detail;
+    const auto lm = tracer.totals(obs::Phase::kLmForward);
+    const auto mask = tracer.totals(obs::Phase::kMaskBuild);
+    const auto sampling = tracer.totals(obs::Phase::kSampling);
+    EXPECT_EQ(lm.count, r.stats.lm_calls) << "row " << row;
+    EXPECT_GT(mask.count, 0) << "row " << row;
+    EXPECT_GT(sampling.count, 0) << "row " << row;
+    EXPECT_LE(lm.total_ns + mask.total_ns + sampling.total_ns, wall_ns)
+        << "row " << row;
+  }
 }
 
 TEST(ObsTimer, ElapsedNsMonotonic) {

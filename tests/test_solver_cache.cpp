@@ -5,6 +5,7 @@
 // solver base must answer exactly like a from-scratch solve.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/decoder.hpp"
@@ -133,6 +134,167 @@ TEST(CacheEquivalence, CacheStatsStayZeroWhenDisabled) {
   EXPECT_EQ(dec.cache_stats().evictions, 0);
 }
 
+// --- lazy mask resolution (DESIGN.md §9.4) ----------------------------------
+
+// Solver work of the LazyMask 64-row runs, summed over rows.
+struct LazyTotals {
+  std::int64_t lazy_checks = 0;
+  std::int64_t eager_checks = 0;
+  std::int64_t unresolved = 0;
+  std::int64_t unknowns = 0;
+  std::int64_t recoveries = 0;
+};
+
+// Decodes CacheEquivalence's 64 rows (40 synthesis seeds, 24 imputation
+// prompts, mined rules) under `config` with lazy_mask on and off. The two
+// decoders must emit the same rows and take the same LM steps, and lazy
+// resolution may never spend more solver checks on a row than eager.
+LazyTotals expect_lazy_matches_eager(DecoderConfig config) {
+  config.lazy_mask = true;
+  GuidedDecoder lazy(*env().model, env().tokenizer, env().layout,
+                     env().mined, config);
+  config.lazy_mask = false;
+  GuidedDecoder eager(*env().model, env().tokenizer, env().layout,
+                      env().mined, config);
+  LazyTotals totals;
+  for (int row = 0; row < 64; ++row) {
+    const bool synthesis = row < 40;
+    const int seed = synthesis ? row : 1000 + row - 40;
+    const std::string prompt =
+        synthesis ? std::string()
+                  : telemetry::imputation_prompt(
+                        env().test[static_cast<std::size_t>(row - 40) %
+                                   env().test.size()]);
+    util::Rng a(static_cast<std::uint64_t>(seed));
+    util::Rng b(static_cast<std::uint64_t>(seed));
+    const DecodeResult rl = lazy.generate(a, prompt);
+    const DecodeResult re = eager.generate(b, prompt);
+    EXPECT_EQ(rl.text, re.text) << "seed " << seed;
+    EXPECT_EQ(rl.ok, re.ok) << "seed " << seed;
+    EXPECT_EQ(rl.reason, re.reason) << "seed " << seed;
+    EXPECT_EQ(rl.recoveries, re.recoveries) << "seed " << seed;
+    EXPECT_EQ(rl.stats.lm_calls, re.stats.lm_calls) << "seed " << seed;
+    EXPECT_EQ(rl.stats.masked_steps, re.stats.masked_steps) << "seed " << seed;
+    EXPECT_EQ(rl.stats.interventions, re.stats.interventions)
+        << "seed " << seed;
+    EXPECT_LE(rl.stats.solver_checks, re.stats.solver_checks)
+        << "seed " << seed;
+    EXPECT_EQ(re.stats.unresolved_candidates, 0) << "seed " << seed;
+    totals.lazy_checks += rl.stats.solver_checks;
+    totals.eager_checks += re.stats.solver_checks;
+    totals.unresolved += rl.stats.unresolved_candidates;
+    totals.unknowns += rl.stats.unknown_checks;
+    totals.recoveries += rl.recoveries;
+  }
+  return totals;
+}
+
+// The mechanism fired: some candidate was never decided, and the lazy
+// decoder spent strictly fewer solver checks overall.
+void expect_lazy_saved(const LazyTotals& totals) {
+  EXPECT_GT(totals.unresolved, 0);
+  EXPECT_LT(totals.lazy_checks, totals.eager_checks);
+}
+
+TEST(LazyMask, SixtyFourRowsMatchEagerWithFewerChecks) {
+  expect_lazy_saved(
+      expect_lazy_matches_eager(with_cache(GuidanceMode::kFull, true)));
+}
+
+TEST(LazyMask, PlanOn) {
+  DecoderConfig config = with_cache(GuidanceMode::kFull, true);
+  config.compile_plan = true;
+  expect_lazy_saved(expect_lazy_matches_eager(config));
+}
+
+TEST(LazyMask, CacheOff) {
+  expect_lazy_saved(
+      expect_lazy_matches_eager(with_cache(GuidanceMode::kFull, false)));
+}
+
+TEST(LazyMask, WithoutForcedLiteralSkipping) {
+  // Every step calls the LM, so the phase before it stops at the first
+  // legal candidate.
+  DecoderConfig config = with_cache(GuidanceMode::kFull, true);
+  config.skip_forced_literals = false;
+  expect_lazy_saved(expect_lazy_matches_eager(config));
+}
+
+TEST(LazyMask, GreedyAndTopKResolveEagerly) {
+  // Greedy picks without a draw and top-k truncates the distribution
+  // first, so neither pick is the one the stop rule bounds: both decide
+  // every candidate whatever lazy_mask says.
+  for (const lm::SamplerConfig sampler :
+       {lm::SamplerConfig{.temperature = 0.0},
+        lm::SamplerConfig{.temperature = 1.0, .top_k = 3}}) {
+    DecoderConfig config = with_cache(GuidanceMode::kFull, true);
+    config.sampler = sampler;
+    const LazyTotals totals = expect_lazy_matches_eager(config);
+    EXPECT_EQ(totals.unresolved, 0);
+    EXPECT_EQ(totals.lazy_checks, totals.eager_checks);
+  }
+}
+
+// All of its mass on one letter token, which no digit step allows: every
+// candidate's probability underflows to 0.
+class LetterOnlyModel : public lm::LanguageModel {
+ public:
+  LetterOnlyModel(int vocab, int letter) : vocab_(vocab), letter_(letter) {}
+  int vocab_size() const override { return vocab_; }
+  std::vector<float> logits(std::span<const int>) const override {
+    std::vector<float> out(static_cast<std::size_t>(vocab_), -2000.0f);
+    out[static_cast<std::size_t>(letter_)] = 0.0f;
+    return out;
+  }
+
+ private:
+  int vocab_;
+  int letter_;
+};
+
+TEST(LazyMask, NoLegalMassMeansNoDraw) {
+  // sample_token draws no uniform when the legal tokens carry no mass; it
+  // picks the best legal logit instead. A lazy step must not draw either,
+  // so both decoders leave their generators in the same state.
+  const LetterOnlyModel model(env().tokenizer.vocab_size(),
+                              env().tokenizer.encode_char('T'));
+  DecoderConfig config = with_cache(GuidanceMode::kFull, true);
+  GuidedDecoder lazy(model, env().tokenizer, env().layout, env().manual,
+                     config);
+  config.lazy_mask = false;
+  GuidedDecoder eager(model, env().tokenizer, env().layout, env().manual,
+                      config);
+  for (int seed = 0; seed < 4; ++seed) {
+    util::Rng a(static_cast<std::uint64_t>(seed));
+    util::Rng b(static_cast<std::uint64_t>(seed));
+    const DecodeResult rl = lazy.generate(a);
+    const DecodeResult re = eager.generate(b);
+    EXPECT_TRUE(rl.ok) << rl.fail_detail;
+    EXPECT_EQ(rl.text, re.text) << "seed " << seed;
+    EXPECT_GT(rl.stats.masked_steps, 0);
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "seed " << seed;
+  }
+}
+
+TEST(LazyMask, FiniteNodeBudgetWithFeasibleUnknowns) {
+  // Under kFeasible an inconclusive check keeps its candidate, as a hull
+  // witness would, so a finite budget still decodes the same rows. A budget
+  // of one node leaves every live check inconclusive and makes a row dead-end
+  // into a recovery; ten nodes mix conclusive and inconclusive checks.
+  std::int64_t recoveries = 0;
+  for (const std::int64_t nodes : {1, 10}) {
+    DecoderConfig config = with_cache(GuidanceMode::kFull, true);
+    config.resilience.check_max_nodes = nodes;
+    config.resilience.on_unknown = UnknownPolicy::kFeasible;
+    config.resilience.retry_budget = 4;
+    const LazyTotals totals = expect_lazy_matches_eager(config);
+    expect_lazy_saved(totals);
+    EXPECT_GT(totals.unknowns, 0) << nodes << " nodes";
+    recoveries += totals.recoveries;
+  }
+  EXPECT_GT(recoveries, 0) << "the retry budget must be exercised";
+}
+
 // --- cached unknowns respect UnknownPolicy -----------------------------------
 
 TEST(CacheUnknowns, CachedRunHonorsFeasibleReading) {
@@ -210,7 +372,8 @@ TEST(IncrementalSolver, AgreesWithFreshSolverUnderPushPop) {
       vf.push_back(fresh.add_var("v" + std::to_string(v), lo, hi));
     }
     const auto agree = [&](int where) {
-      ASSERT_EQ(inc.check(), fresh.check()) << "trial " << trial << " @" << where;
+      ASSERT_EQ(inc.check(), fresh.check())
+          << "trial " << trial << " @" << where;
       for (int v = 0; v < 4; ++v)
         EXPECT_EQ(inc.feasible_interval(vi[static_cast<std::size_t>(v)]),
                   fresh.feasible_interval(vf[static_cast<std::size_t>(v)]))
@@ -235,7 +398,8 @@ TEST(IncrementalSolver, AgreesWithFreshSolverUnderPushPop) {
     agree(2);  // pop must restore the base exactly
     const smt::Formula assumption = random_constraint(rng, vi);
     const std::vector<smt::Formula> assumptions{assumption};
-    EXPECT_EQ(inc.check_assuming(assumptions), fresh.check_assuming(assumptions))
+    EXPECT_EQ(inc.check_assuming(assumptions),
+              fresh.check_assuming(assumptions))
         << "trial " << trial;
     agree(3);  // assumptions must not leak into the base
   }

@@ -5,7 +5,8 @@
 //   lejit_cli train    --corpus corpus.txt --steps 300 --out model.bin
 //   lejit_cli synth    --model model.bin --rules rules.txt --count 20
 //   lejit_cli impute   --model model.bin --rules rules.txt --prompts coarse.txt
-//   lejit_cli serve-bench --model model.bin --rules rules.txt --workers 2 --batch 4
+//   lejit_cli serve-bench --model model.bin --rules rules.txt --workers 2
+//                         --batch 4
 //   lejit_cli check    --rules rules.txt --rows rows.txt
 //   lejit_cli lint     --rules rules.txt [--json]
 //   lejit_cli plan     --rules rules.txt [--json] [--out plan.json]
@@ -50,7 +51,7 @@ namespace {
 // argv[0], for resolving a sibling `lejit_smtserve` in backend specs.
 std::string g_argv0;
 
-// --- tiny argv parser -----------------------------------------------------------
+// --- tiny argv parser --------------------------------------------------------
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -140,8 +141,8 @@ int cmd_generate(const Args& args) {
 int cmd_mine(const Args& args) {
   const telemetry::Limits limits;
   const auto layout = telemetry::telemetry_row_layout(limits);
-  const auto parsed =
-      telemetry::parse_corpus(read_file(args.get("corpus", "corpus.txt")), limits);
+  const auto parsed = telemetry::parse_corpus(
+      read_file(args.get("corpus", "corpus.txt")), limits);
   if (parsed.windows.empty()) {
     std::cerr << "error: corpus holds no valid rows (" << parsed.malformed
               << " malformed)\n";
@@ -168,8 +169,8 @@ int cmd_mine(const Args& args) {
 
 int cmd_train(const Args& args) {
   const telemetry::Limits limits;
-  const auto parsed =
-      telemetry::parse_corpus(read_file(args.get("corpus", "corpus.txt")), limits);
+  const auto parsed = telemetry::parse_corpus(
+      read_file(args.get("corpus", "corpus.txt")), limits);
   if (parsed.windows.empty()) {
     std::cerr << "error: corpus holds no valid rows\n";
     return 2;
@@ -181,12 +182,13 @@ int cmd_train(const Args& args) {
 
   util::Rng init_rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   lm::Transformer model(
-      lm::TransformerConfig{.vocab_size = tokenizer.vocab_size(),
-                            .d_model = static_cast<int>(args.get_int("dmodel", 64)),
-                            .n_layers = static_cast<int>(args.get_int("layers", 2)),
-                            .n_heads = static_cast<int>(args.get_int("heads", 4)),
-                            .d_ff = static_cast<int>(args.get_int("dff", 128)),
-                            .max_seq = 64},
+      lm::TransformerConfig{
+          .vocab_size = tokenizer.vocab_size(),
+          .d_model = static_cast<int>(args.get_int("dmodel", 64)),
+          .n_layers = static_cast<int>(args.get_int("layers", 2)),
+          .n_heads = static_cast<int>(args.get_int("heads", 4)),
+          .d_ff = static_cast<int>(args.get_int("dff", 128)),
+          .max_seq = 64},
       init_rng);
   util::Rng train_rng(init_rng.next_u64());
   const auto report = lm::train_lm(
@@ -299,8 +301,9 @@ int cmd_synth(const Args& args) {
   const lm::CharTokenizer tokenizer(telemetry::row_alphabet());
   const lm::Transformer model =
       lm::Transformer::load(args.get("model", "model.bin"));
-  auto decoder = make_decoder(args, model, tokenizer, layout,
-                              load_rules(args.get("rules", "rules.txt"), layout));
+  auto decoder =
+      make_decoder(args, model, tokenizer, layout,
+                   load_rules(args.get("rules", "rules.txt"), layout));
   util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   const auto count = args.get_int("count", 10);
   std::size_t compliant = 0;
@@ -321,13 +324,16 @@ int cmd_impute(const Args& args) {
   const lm::CharTokenizer tokenizer(telemetry::row_alphabet());
   const lm::Transformer model =
       lm::Transformer::load(args.get("model", "model.bin"));
-  auto decoder = make_decoder(args, model, tokenizer, layout,
-                              load_rules(args.get("rules", "rules.txt"), layout));
+  auto decoder =
+      make_decoder(args, model, tokenizer, layout,
+                   load_rules(args.get("rules", "rules.txt"), layout));
   util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
 
   std::size_t done = 0, infeasible = 0;
-  for (const auto line :
-       util::split(read_file(args.get("prompts", "prompts.txt")), '\n')) {
+  // split() returns views into its argument, so the text must outlive the
+  // loop: a temporary in the range expression would be destroyed first.
+  const std::string prompt_text = read_file(args.get("prompts", "prompts.txt"));
+  for (const auto line : util::split(prompt_text, '\n')) {
     if (util::trim(line).empty()) continue;
     const auto coarse = telemetry::parse_row(line, coarse_layout);
     if (!coarse) {
@@ -353,9 +359,9 @@ int cmd_impute(const Args& args) {
 
 // Serving runtime (DESIGN.md §13): decode many rows through a pooled Server
 // of independent sessions instead of a single sequential decoder, and report
-// the realized throughput and LM forwards. With --verify, the same workload is re-decoded
-// sequentially and the outputs are compared byte for byte — serve's
-// determinism contract says they must match exactly.
+// the realized throughput and LM forwards. With --verify, the same workload
+// is re-decoded sequentially and the outputs are compared byte for byte —
+// serve's determinism contract says they must match exactly.
 int cmd_serve_bench(const Args& args) {
   const telemetry::Limits limits;
   const auto layout = telemetry::telemetry_row_layout(limits);
@@ -372,8 +378,8 @@ int cmd_serve_bench(const Args& args) {
   // the file's coarse rows.
   std::vector<std::string> prompts;
   if (args.has("prompts")) {
-    for (const auto line :
-         util::split(read_file(args.get("prompts", "")), '\n')) {
+    const std::string prompt_text = read_file(args.get("prompts", ""));
+    for (const auto line : util::split(prompt_text, '\n')) {
       if (util::trim(line).empty()) continue;
       const auto coarse = telemetry::parse_row(line, coarse_layout);
       if (!coarse) {
@@ -775,28 +781,32 @@ void usage() {
       "resilience (synth, impute):\n"
       "  --on-unknown POLICY  inconclusive solver checks read as:\n"
       "                       infeasible|feasible|escalate (default escalate)\n"
-      "  --max-nodes N        solver search-node cap per check (default 500000)\n"
+      "  --max-nodes N        solver search-node cap per check\n"
+      "                       (default 500000)\n"
       "  --solver-deadline-ms MS  wall-clock deadline per solver check\n"
       "  --row-deadline-ms MS     wall-clock ceiling per generated row\n"
-      "  --retry-budget N     dead-end recoveries per row (default 0 = fail-stop)\n"
+      "  --retry-budget N     dead-end recoveries per row\n"
+      "                       (default 0 = fail-stop)\n"
       "  --no-solver-cache    disable incremental solver reuse + feasibility\n"
       "                       caching (decodes are bit-identical either way;\n"
       "                       this exists for perf A/B runs and debugging)\n"
       "  --lint               lint the rule set at load time and refuse to\n"
       "                       decode if it has errors (lint_on_load); clean\n"
       "                       sets seed the feasibility cache's static hulls\n"
-      "  --plan FILE          load a compiled decode plan (from `plan --json`);\n"
-      "                       a stale fingerprint exits 1. decodes stay\n"
-      "                       bit-identical with or without a plan\n"
+      "  --plan FILE          load a compiled decode plan (from\n"
+      "                       `plan --json`); a stale fingerprint exits 1.\n"
+      "                       decodes stay bit-identical with or without a\n"
+      "                       plan\n"
       "  --verify-plan        with --plan: independently re-verify the loaded\n"
       "                       artifact (as `plan-verify`) and exit 1 if it is\n"
       "                       rejected; decode output is unchanged either way\n"
-      "  --plan-compile       compile a decode plan in-process before decoding\n"
-      "  --smt-backend SPEC   solver substrate: minismt (default, in-process),\n"
-      "                       auto (external solver when one is found),\n"
-      "                       subprocess:<path> or a solver path. External\n"
-      "                       backends degrade to minismt on crash/hang/\n"
-      "                       garble (see smt.backend.* metrics)\n"
+      "  --plan-compile       compile a decode plan in-process before\n"
+      "                       decoding\n"
+      "  --smt-backend SPEC   solver substrate: minismt (in-process,\n"
+      "                       default), auto (external solver when one is\n"
+      "                       found), subprocess:<path> or a solver path.\n"
+      "                       External backends degrade to minismt on\n"
+      "                       crash/hang/garble (see smt.backend.* metrics)\n"
       "observability (any command):\n"
       "  --log-level LEVEL    stderr diagnostics: error|warn|info|debug|off\n"
       "                       (default off; LEJIT_LOG env is the fallback)\n"
