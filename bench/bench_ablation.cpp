@@ -8,7 +8,10 @@
 //      the syntax already determines;
 //   D. minimal invasiveness — how much probability mass the mask removes;
 //   E. just-in-time mask resolution — solver checks and wall time saved by
-//      deciding only the candidates that can change the sampled token.
+//      deciding only the candidates that can change the sampled token;
+//   F. decode plan — solver checks and wall time saved by the compiled
+//      plan's digit tables and cluster slices.
+#include <array>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -25,6 +28,62 @@ using bench::BenchEnv;
 using telemetry::Window;
 
 constexpr int kSamples = 60;
+
+struct TaskCase {
+  std::string name;
+  const rules::RuleSet* rules;
+  bool imputation;
+};
+
+// Tables E and F: two kFull decoders that must produce the same rows, priced
+// against each other. Both stay warm across kRounds alternating passes over
+// the prompts, and each leg's time is the sum over its passes. Adds one row
+// per leg: solver checks, ms and `counter` per sample, and whether the
+// second leg's rows equal the first's.
+void add_same_rows_pair(bench::Table& table, const BenchEnv& env,
+                        const std::vector<Window>& prompts, const TaskCase& t,
+                        const std::array<core::DecoderConfig, 2>& configs,
+                        const std::array<std::string, 2>& labels,
+                        std::int64_t core::DecodeStats::*counter) {
+  constexpr int kRounds = 5;
+  struct Leg {
+    std::unique_ptr<core::GuidedDecoder> dec;
+    std::vector<std::string> rows;
+    std::int64_t checks = 0;
+    std::int64_t count = 0;
+    double ms = 0.0;
+  };
+  std::array<Leg, 2> legs;
+  for (int i = 0; i < 2; ++i)
+    legs[i].dec = std::make_unique<core::GuidedDecoder>(
+        *env.model, env.tokenizer, env.layout, *t.rules, configs[i]);
+  for (int round = 0; round < kRounds; ++round) {
+    for (int i = 0; i < 2; ++i) {
+      Leg& leg = legs[(round + i) % 2];
+      util::Rng rng(5);
+      util::Timer timer;
+      for (const Window& w : prompts) {
+        const auto r = leg.dec->generate(
+            rng, t.imputation ? telemetry::imputation_prompt(w) : "");
+        if (round == 0) leg.rows.push_back(r.text);
+        leg.checks += r.stats.solver_checks;
+        leg.count += r.stats.*counter;
+      }
+      leg.ms += timer.elapsed_ms();
+    }
+  }
+  const double n = static_cast<double>(prompts.size()) * kRounds;
+  for (int i = 0; i < 2; ++i) {
+    const Leg& leg = legs[i];
+    table.add_row({t.name, labels[i],
+                   bench::fmt(static_cast<double>(leg.checks) / n, 1),
+                   bench::fmt(leg.ms / n, 3),
+                   bench::fmt(static_cast<double>(leg.count) / n, 1),
+                   i == 0                       ? "reference"
+                   : leg.rows == legs[0].rows ? "identical"
+                                                : "DIFFERENT"});
+  }
+}
 
 }  // namespace
 
@@ -150,11 +209,6 @@ int main(int argc, char** argv) {
   // removed per masked step and the fraction of steps where the LM's argmax
   // was pruned, for both tasks. Masks resolve eagerly here: a lazy step
   // reports only a lower bound on the mass it removed.
-  struct TaskCase {
-    std::string name;
-    const rules::RuleSet* rules;
-    bool imputation;
-  };
   const std::vector<TaskCase> tasks{
       {"imputation (mined)", &env.mined, true},
       {"synthesis (coarse)", &env.mined_coarse, false}};
@@ -195,58 +249,35 @@ int main(int argc, char** argv) {
 
   // --- E: just-in-time mask resolution (DESIGN.md §9.4) ---------------------
   // The price of resolving every candidate before the LM call: the same rows
-  // decoded with masks resolved eagerly and lazily. Both decoders stay warm
-  // across kRounds alternating passes over the prompts, and each leg's time
-  // is the sum over its passes.
+  // decoded with masks resolved eagerly and lazily.
+  const core::DecoderConfig full{.mode = core::GuidanceMode::kFull};
   {
-    constexpr int kRounds = 5;
     bench::Table table(
         "Ablation E — just-in-time mask resolution (kFull, same rows)",
         {"task", "masks", "solver checks/sample", "ms/sample",
          "undecided/sample", "rows"});
-    for (const TaskCase& t : tasks) {
-      struct Leg {
-        std::unique_ptr<core::GuidedDecoder> dec;
-        std::vector<std::string> rows;
-        std::int64_t checks = 0;
-        std::int64_t unresolved = 0;
-        double ms = 0.0;
-      };
-      Leg legs[2];  // eager, lazy
-      for (int lazy = 0; lazy < 2; ++lazy) {
-        core::DecoderConfig config{.mode = core::GuidanceMode::kFull};
-        config.lazy_mask = lazy == 1;
-        legs[lazy].dec = std::make_unique<core::GuidedDecoder>(
-            *env.model, env.tokenizer, env.layout, *t.rules, config);
-      }
-      for (int round = 0; round < kRounds; ++round) {
-        for (int i = 0; i < 2; ++i) {
-          Leg& leg = legs[(round + i) % 2];
-          util::Rng rng(5);
-          util::Timer timer;
-          for (const Window& w : prompts) {
-            const auto r = leg.dec->generate(
-                rng, t.imputation ? telemetry::imputation_prompt(w) : "");
-            if (round == 0) leg.rows.push_back(r.text);
-            leg.checks += r.stats.solver_checks;
-            leg.unresolved += r.stats.unresolved_candidates;
-          }
-          leg.ms += timer.elapsed_ms();
-        }
-      }
-      const double n = static_cast<double>(prompts.size()) * kRounds;
-      for (int lazy = 0; lazy < 2; ++lazy) {
-        const Leg& leg = legs[lazy];
-        table.add_row(
-            {t.name, lazy == 1 ? "lazy" : "eager",
-             bench::fmt(static_cast<double>(leg.checks) / n, 1),
-             bench::fmt(leg.ms / n, 3),
-             bench::fmt(static_cast<double>(leg.unresolved) / n, 1),
-             lazy == 0                    ? "reference"
-             : leg.rows == legs[0].rows ? "identical"
-                                          : "DIFFERENT"});
-      }
-    }
+    core::DecoderConfig eager = full;
+    eager.lazy_mask = false;
+    for (const TaskCase& t : tasks)
+      add_same_rows_pair(table, env, prompts, t, {eager, full},
+                         {"eager", "lazy"},
+                         &core::DecodeStats::unresolved_candidates);
+    table.print();
+  }
+
+  // --- F: decode plan (DESIGN.md §11) ----------------------------------------
+  // The same rows decoded without and with a compiled plan. The plan is
+  // compiled in the decoder's constructor, outside the timed passes: it is a
+  // once-per-rule-set cost.
+  {
+    bench::Table table("Ablation F — decode plan (kFull, same rows)",
+                       {"task", "plan", "solver checks/sample", "ms/sample",
+                        "table hits/sample", "rows"});
+    core::DecoderConfig planned = full;
+    planned.compile_plan = true;
+    for (const TaskCase& t : tasks)
+      add_same_rows_pair(table, env, prompts, t, {full, planned},
+                         {"off", "on"}, &core::DecodeStats::plan_table_hits);
     table.print();
   }
 

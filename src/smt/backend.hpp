@@ -74,8 +74,11 @@ struct BackendConfig {
   SolverConfig solver{};
 
   // kSubprocess only ------------------------------------------------------
-  std::string solver_path;             // binary to exec
-  std::vector<std::string> solver_args;  // empty = defaults for the binary
+  std::string solver_path;  // binary to exec
+  // Arguments after the binary, passed verbatim; empty means none. z3 and
+  // cvc5 need flags to read SMT-LIB2 from stdin, which only
+  // backend_config_from_spec fills in.
+  std::vector<std::string> solver_args;
   // Wall-clock cap per check when the caller's Budget carries no deadline
   // (an external solver has no notion of minismt node budgets).
   std::int64_t check_timeout_ms = 2'000;

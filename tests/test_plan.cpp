@@ -261,7 +261,7 @@ TEST(PlanTables, MinedRuleSetRowsVerifyUnderDefaultBudget) {
   for (const DigitTable& t : p.tables) EXPECT_TRUE(t.row_verified(0));
 }
 
-// --- serialization ------------------------------------------------------------
+// --- serialization -----------------------------------------------------------
 
 TEST(PlanSerialization, RoundTripsLosslessly) {
   const DecodePlan p = compile(env().mined, env().layout);
@@ -313,7 +313,7 @@ TEST(PlanSerialization, StaleFingerprintRejectedByDecoder) {
                util::RuntimeError);
 }
 
-// --- budget degradation -------------------------------------------------------
+// --- budget degradation ------------------------------------------------------
 
 TEST(PlanBudget, StarvedCompileDegradesToInactiveNeverWrong) {
   Config starved;
@@ -340,7 +340,7 @@ TEST(PlanBudget, StarvedCompileDegradesToInactiveNeverWrong) {
   }
 }
 
-// --- decode equivalence -------------------------------------------------------
+// --- decode equivalence ------------------------------------------------------
 
 void expect_identical_rows(GuidedDecoder& planned, GuidedDecoder& plain,
                            int seed, std::string_view prompt,
@@ -386,9 +386,12 @@ TEST(PlanDecode, BitIdenticalWithAndWithoutPlan) {
     table_hits += rp.stats.plan_table_hits;
     sliced += rp.stats.plan_sliced_queries;
   }
-  // The equivalence is only meaningful if the plan actually answered.
+  // The equivalence is only meaningful if the plan actually answered, and
+  // the plan must save solver work over the two legs together.
   EXPECT_GT(table_hits, 0);
   EXPECT_GT(sliced, 0);
+  EXPECT_LT(planned.solver_stats().propagations,
+            plain.solver_stats().propagations);
 }
 
 TEST(PlanDecode, BitIdenticalWithCacheDisabled) {

@@ -5,7 +5,10 @@
 //
 // Misbehaving solvers are real processes: tiny /bin/sh scripts written to a
 // temp directory, plus the bundled lejit_smtserve (path injected by CMake as
-// LEJIT_SMTSERVE_PATH) for the healthy and fault-injected cases.
+// LEJIT_SMTSERVE_PATH) for the healthy and fault-injected cases. The
+// SubprocessDecode tests decode whole rows through a chaotic, an external
+// (z3 or cvc5 when installed) and an absent solver, and compare them byte
+// for byte with in-process decoding.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -20,6 +23,8 @@
 #include "fault/fault.hpp"
 #include "lm/ngram.hpp"
 #include "obs/timer.hpp"
+#include "rules/checker.hpp"
+#include "rules/miner.hpp"
 #include "rules/rule.hpp"
 #include "smt/backend.hpp"
 #include "smt/subprocess.hpp"
@@ -284,6 +289,8 @@ struct Env {
   std::unique_ptr<lm::NgramModel> model;
   rules::RuleSet rules;
   std::vector<telemetry::Window> windows;
+  rules::RuleSet mined;
+  std::vector<telemetry::Window> mined_prompts;  // windows `mined` admits
 };
 
 bool smtserve_available() {
@@ -303,6 +310,11 @@ const Env& env() {
     for (const auto& w : out.windows)
       out.model->observe(out.tokenizer.encode(telemetry::window_to_row(w)));
     out.rules = rules::manual_rules(out.layout, out.dataset.limits);
+    out.mined =
+        rules::mine_rules(out.windows, out.layout, out.dataset.limits).rules;
+    for (const auto& w : out.windows)
+      if (rules::violated_rules(out.mined, w).empty())
+        out.mined_prompts.push_back(w);
     return out;
   }();
   return e;
@@ -371,6 +383,67 @@ TEST(SubprocessDecode, SixtyFourRowsBitIdenticalUnderTwentyPercentChaos) {
   const smt::BackendStats sb = baseline.backend_stats();
   EXPECT_EQ(sb.faults, 0);
   EXPECT_EQ(sb.degraded, 0);
+}
+
+// 8 synthesis and 8 imputation rows under the mined rules, each decoded by
+// `dec` and by the default in-process decoder from the same seed: every row
+// must complete, byte-identical. Returns how many rows had a check degraded
+// to the fallback.
+int decode_mined_rows(GuidedDecoder& dec) {
+  GuidedDecoder in_process(*env().model, env().tokenizer, env().layout,
+                           env().mined,
+                           DecoderConfig{.mode = GuidanceMode::kFull});
+  int degraded_rows = 0;
+  for (int i = 0; i < 16; ++i) {
+    const std::string prompt =
+        i < 8 ? std::string()
+              : telemetry::imputation_prompt(env().mined_prompts.at(
+                    static_cast<std::size_t>(i) % env().mined_prompts.size()));
+    util::Rng a(static_cast<std::uint64_t>(300 + i));
+    util::Rng b(static_cast<std::uint64_t>(300 + i));
+    const DecodeResult want = in_process.generate(a, prompt);
+    const DecodeResult got = dec.generate(b, prompt);
+    EXPECT_TRUE(want.ok) << "row " << i;
+    EXPECT_TRUE(got.ok) << "row " << i;
+    EXPECT_EQ(got.text, want.text) << "row " << i;
+    if (got.backend_degraded > 0) ++degraded_rows;
+  }
+  return degraded_rows;
+}
+
+// The solver find_external_solver picks (z3 or cvc5 where installed, else
+// the bundled lejit_smtserve), configured as `--smt-backend` would configure
+// it: z3 and cvc5 read SMT-LIB2 from stdin only with the flags
+// backend_config_from_spec adds. It must answer every check itself.
+TEST(SubprocessDecode, ExternalSolverDecodesBitIdentically) {
+  const std::string solver = smt::find_external_solver(LEJIT_SMTSERVE_PATH);
+  ASSERT_FALSE(solver.empty()) << "no external solver, no lejit_smtserve";
+  DecoderConfig cfg{.mode = GuidanceMode::kFull};
+  cfg.backend = smt::backend_config_from_spec("subprocess:" + solver);
+  GuidedDecoder dec(*env().model, env().tokenizer, env().layout, env().mined,
+                    cfg);
+  EXPECT_EQ(decode_mined_rows(dec), 0) << solver;
+  const smt::BackendStats s = dec.backend_stats();
+  EXPECT_GT(s.checks, 0) << solver;
+  EXPECT_EQ(s.degraded, 0) << solver;
+  EXPECT_EQ(s.faults, 0) << solver;
+}
+
+// A solver that cannot be spawned: the backend gives up after one respawn
+// and every row is answered by the in-process fallback, with the same bytes
+// and every incident in the stats.
+TEST(SubprocessDecode, AbsentSolverDegradesEveryRowBitIdentically) {
+  DecoderConfig cfg{.mode = GuidanceMode::kFull};
+  cfg.backend.kind = smt::BackendKind::kSubprocess;
+  cfg.backend.solver_path = "/nonexistent/lejit-test-solver";
+  cfg.backend.retry_backoff_ms = 1;
+  cfg.backend.max_respawns = 1;
+  GuidedDecoder dec(*env().model, env().tokenizer, env().layout, env().mined,
+                    cfg);
+  EXPECT_EQ(decode_mined_rows(dec), 16);
+  const smt::BackendStats s = dec.backend_stats();
+  EXPECT_GT(s.degraded, 0);
+  EXPECT_GT(s.faults, 0);
 }
 
 }  // namespace

@@ -27,28 +27,12 @@ REQUIRED_HISTOGRAM_KEYS = ("count", "sum", "mean", "max", "p50", "p90", "p99")
 # acceptance criteria name explicitly.
 REQUIRED_MODE_KEYS = ("name", "samples", "ms_per_sample", "wall_clock_s",
                       "solver_check_latency_us", "phase_seconds", "split",
-                      "solver_propagations", "cache", "plan")
+                      "solver_propagations", "cache")
 # Cache on/off comparison block the feasibility-cache PR's acceptance
 # criteria read (--compare-cache).
 REQUIRED_CACHE_ABLATION_KEYS = ("bit_identical", "propagations_on",
                                 "propagations_off", "ms_per_sample_on",
                                 "ms_per_sample_off")
-# Plan on/off comparison block the decode-plan PR's acceptance criteria read
-# (--compare-plan): decode.plan.* counters plus the propagation pair.
-REQUIRED_PLAN_ABLATION_KEYS = ("bit_identical", "propagations_on",
-                               "propagations_off", "ms_per_sample_on",
-                               "ms_per_sample_off", "table_hits",
-                               "sliced_queries", "slice_rule_fraction")
-# Backend ablation block (--compare-backend): in-process vs subprocess vs
-# degraded-subprocess runs of the mined workload. The block is optional in a
-# report (pre-backend reports stay valid) but must be complete when present.
-REQUIRED_BACKEND_ABLATION_KEYS = ("subprocess_available", "bit_identical",
-                                  "ms_per_sample_inprocess",
-                                  "ms_per_sample_subprocess",
-                                  "ms_per_sample_degraded", "subprocess",
-                                  "degraded_backend")
-REQUIRED_BACKEND_STATS_KEYS = ("checks", "faults", "spawn_failures",
-                               "respawns", "degraded")
 # Serve sweep block (--compare-serve): the serving runtime's worker x batch
 # throughput sweep, each configuration checked bit-identical against the
 # sequential decode (figure serve_throughput; BENCH_8.json is the committed
@@ -141,12 +125,6 @@ def check_report(doc, errors, where):
                     for key in ("hits", "misses"):
                         if key not in cache:
                             err(f"modes[{i}].cache is missing {key!r}")
-                plan = mode.get("plan")
-                if isinstance(plan, dict):
-                    for key in ("table_hits", "sliced_queries",
-                                "sliced_rules"):
-                        if key not in plan:
-                            err(f"modes[{i}].plan is missing {key!r}")
         ablation = doc.get("cache_ablation")
         if not isinstance(ablation, dict):
             err("fig3_runtime report has no 'cache_ablation' object")
@@ -154,26 +132,6 @@ def check_report(doc, errors, where):
             for key in REQUIRED_CACHE_ABLATION_KEYS:
                 if key not in ablation:
                     err(f"cache_ablation is missing {key!r}")
-        plan_ablation = doc.get("plan_ablation")
-        if not isinstance(plan_ablation, dict):
-            err("fig3_runtime report has no 'plan_ablation' object")
-        else:
-            for key in REQUIRED_PLAN_ABLATION_KEYS:
-                if key not in plan_ablation:
-                    err(f"plan_ablation is missing {key!r}")
-        backend_ablation = doc.get("backend_ablation")
-        if isinstance(backend_ablation, dict):
-            for key in REQUIRED_BACKEND_ABLATION_KEYS:
-                if key not in backend_ablation:
-                    err(f"backend_ablation is missing {key!r}")
-            for block in ("subprocess", "degraded_backend"):
-                stats = backend_ablation.get(block)
-                if isinstance(stats, dict):
-                    for key in REQUIRED_BACKEND_STATS_KEYS:
-                        if key not in stats:
-                            err(f"backend_ablation.{block} is missing {key!r}")
-        elif backend_ablation is not None:
-            err("backend_ablation is not an object")
 
 
 def check_file(path):
@@ -214,91 +172,6 @@ def check_cache_ablation(path, slack=1.10):
         print(f"{path}: cache ablation ok — bit-identical, "
               f"{ratio:.1f}x fewer propagations, "
               f"{speedup:.2f}x faster per sample")
-    return errors
-
-
-def check_plan_ablation(path):
-    """Gate on the fig3 plan ablation: decodes must be bit-identical with the
-    plan on vs off, the plan must actually engage (table hits and sliced
-    queries observed), and it must reduce total solver propagations over the
-    workload. Returns a list of error strings (empty = pass)."""
-    errors = check_file(path)
-    if errors:
-        return errors
-    doc = json.loads(pathlib.Path(path).read_text())
-    ablation = doc.get("plan_ablation") or {}
-    errors = []
-    if ablation.get("bit_identical") is not True:
-        errors.append(f"{path}: plan on/off decodes are not bit-identical")
-    if int(ablation.get("table_hits", 0)) <= 0:
-        errors.append(f"{path}: plan never answered a verdict from its digit "
-                      "tables (decode.plan.table_hits == 0)")
-    if int(ablation.get("sliced_queries", 0)) <= 0:
-        errors.append(f"{path}: plan never routed a query to a cluster slice "
-                      "(decode.plan.sliced_queries == 0)")
-    p_on = int(ablation.get("propagations_on", 0))
-    p_off = int(ablation.get("propagations_off", 0))
-    if p_off <= 0:
-        errors.append(f"{path}: plan-off propagation count missing or zero")
-    elif p_on >= p_off:
-        errors.append(f"{path}: plan did not reduce solver propagations "
-                      f"({p_on} with plan vs {p_off} without)")
-    if not errors:
-        frac = float(ablation.get("slice_rule_fraction", 0.0))
-        print(f"{path}: plan ablation ok — bit-identical, "
-              f"{p_off - p_on} fewer propagations, "
-              f"{ablation['table_hits']} table hits, "
-              f"{ablation['sliced_queries']} sliced queries "
-              f"(mean {frac:.2f} of the rule set per slice)")
-    return errors
-
-
-def check_backend_ablation(path):
-    """Gate on the fig3 backend ablation: the subprocess and degraded runs
-    must decode bit-identically to the in-process run, and the degraded run
-    must actually have exercised the fallback ladder. A missing report or a
-    report that predates the backend layer is a clear skip (exit 0), never a
-    traceback — baselines regenerate on their own cadence.
-    Returns a list of error strings (empty = pass or skip)."""
-    p = pathlib.Path(path)
-    if not p.exists():
-        print(f"{path}: no report to compare against; skipping backend gate")
-        return []
-    errors = check_file(path)
-    if errors:
-        return errors
-    doc = json.loads(p.read_text())
-    ablation = doc.get("backend_ablation")
-    if not isinstance(ablation, dict):
-        print(f"{path}: report predates the backend ablation; "
-              "skipping backend gate")
-        return []
-    errors = []
-    if ablation.get("bit_identical") is not True:
-        errors.append(f"{path}: subprocess/degraded decodes are not "
-                      "bit-identical to the in-process run")
-    degraded = ablation.get("degraded_backend") or {}
-    if int(degraded.get("degraded", 0)) <= 0:
-        errors.append(f"{path}: degraded run never engaged the in-process "
-                      "fallback (degraded_backend.degraded == 0)")
-    # Once the primary is declared permanently unhealthy the failover routes
-    # around it without touching it, so `degraded` can exceed `faults`; but a
-    # degraded run with *no* recorded fault at all means the incident
-    # accounting is broken.
-    if int(degraded.get("degraded", 0)) > 0 \
-            and int(degraded.get("faults", 0)) <= 0:
-        errors.append(f"{path}: degraded run reports degraded checks but "
-                      "zero backend faults — incident accounting is broken")
-    if ablation.get("subprocess_available"):
-        sub = ablation.get("subprocess") or {}
-        if int(sub.get("checks", 0)) <= 0:
-            errors.append(f"{path}: subprocess leg ran but served no checks")
-    if not errors:
-        where = (ablation.get("solver_path") or "unavailable") \
-            if ablation.get("subprocess_available") else "skipped"
-        print(f"{path}: backend ablation ok — bit-identical, "
-              f"{degraded.get('degraded', 0)} checks degraded to fallback, "
-              f"subprocess leg: {where}")
     return errors
 
 
@@ -388,7 +261,6 @@ def self_test():
             "lm_forwards": 400,
             "solver_propagations": 120000,
             "cache": {"hits": 500, "misses": 400},
-            "plan": {"table_hits": 0, "sliced_queries": 0, "sliced_rules": 0},
             "split": {"lm_forward_frac": 0.44, "solver_check_frac": 0.56},
         }],
         "cache_ablation": {
@@ -396,25 +268,6 @@ def self_test():
             "propagations_on": 120000, "propagations_off": 480000,
             "ms_per_sample_on": 12.5, "ms_per_sample_off": 20.0,
             "cache_hits": 500, "cache_misses": 400,
-        },
-        "plan_ablation": {
-            "bit_identical": True,
-            "propagations_on": 100000, "propagations_off": 120000,
-            "ms_per_sample_on": 12.0, "ms_per_sample_off": 12.5,
-            "table_hits": 240, "sliced_queries": 900,
-            "slice_rule_fraction": 0.4, "compile_solver_checks": 6000,
-        },
-        "backend_ablation": {
-            "subprocess_available": True, "solver_path": "/usr/bin/z3",
-            "bit_identical": True,
-            "ms_per_sample_inprocess": 12.5,
-            "ms_per_sample_subprocess": 19.0,
-            "ms_per_sample_degraded": 13.0,
-            "subprocess": {"checks": 900, "faults": 0, "spawn_failures": 0,
-                           "respawns": 0, "degraded": 0},
-            "degraded_backend": {"checks": 900, "faults": 900,
-                                 "spawn_failures": 4, "respawns": 0,
-                                 "degraded": 900},
         },
         "tables": [{"title": "t", "headers": ["a", "b"],
                     "rows": [["1", "2"]]}],
@@ -442,15 +295,6 @@ def self_test():
         {k: v for k, v in good.items()
          if k != "cache_ablation"},  # ablation block missing
         {**good, "cache_ablation": {"bit_identical": True}},  # incomplete
-        {k: v for k, v in good.items()
-         if k != "plan_ablation"},  # plan ablation missing
-        {**good, "plan_ablation": {"bit_identical": True}},  # incomplete
-        {**good, "modes": [{**good["modes"][0],
-                            "plan": {"table_hits": 1}}]},  # plan incomplete
-        {**good, "backend_ablation": {"bit_identical": True}},  # incomplete
-        {**good, "backend_ablation": {
-            **good["backend_ablation"],
-            "degraded_backend": {"checks": 1}}},  # stats block incomplete
     ]
     for i, bad in enumerate(bad_documents):
         errors = []
@@ -460,20 +304,8 @@ def self_test():
                   file=sys.stderr)
             return False
 
-    # A report lacking the backend block (pre-backend baseline) must stay
-    # valid, and --compare-backend against a missing file must be a clean
-    # skip rather than a traceback.
-    errors = []
-    check_report({k: v for k, v in good.items() if k != "backend_ablation"},
-                 errors, "self-test-no-backend-block")
-    if errors:
-        print("self-test FAILED: report without backend_ablation rejected",
-              file=sys.stderr)
-        return False
-    if check_backend_ablation("/nonexistent/self-test/BENCH_7.json"):
-        print("self-test FAILED: missing baseline did not skip cleanly",
-              file=sys.stderr)
-        return False
+    # --compare-serve against a missing file must be a clean skip rather
+    # than a traceback.
     if check_serve("/nonexistent/self-test/BENCH_8.json"):
         print("self-test FAILED: missing serve report did not skip cleanly",
               file=sys.stderr)
@@ -540,11 +372,6 @@ def main():
                         help="validate FILE and fail unless its cache_ablation"
                              " shows bit-identical decodes with the cached"
                              " path no more than 10%% slower than uncached")
-    parser.add_argument("--compare-plan", metavar="FILE",
-                        help="validate FILE and fail unless its plan_ablation"
-                             " shows bit-identical decodes, table hits and"
-                             " sliced queries observed, and fewer solver"
-                             " propagations with the plan on")
     parser.add_argument("--compare-serve", metavar="FILE",
                         help="validate FILE and fail unless its serve sweep"
                              " shows every worker x batch configuration"
@@ -552,12 +379,6 @@ def main():
                              " degraded rows, a mean width of 1.0 and the"
                              " same forward count; a missing FILE or a report"
                              " without the block is a clear skip")
-    parser.add_argument("--compare-backend", metavar="FILE",
-                        help="validate FILE and fail unless its"
-                             " backend_ablation shows subprocess/degraded"
-                             " decodes bit-identical to in-process with the"
-                             " fallback ladder engaged; a missing FILE or a"
-                             " report without the block is a clear skip")
     args = parser.parse_args()
 
     ok = True
@@ -570,20 +391,8 @@ def main():
             print(e, file=sys.stderr)
         ok = not errors and ok
 
-    if args.compare_plan:
-        errors = check_plan_ablation(args.compare_plan)
-        for e in errors:
-            print(e, file=sys.stderr)
-        ok = not errors and ok
-
     if args.compare_serve:
         errors = check_serve(args.compare_serve)
-        for e in errors:
-            print(e, file=sys.stderr)
-        ok = not errors and ok
-
-    if args.compare_backend:
-        errors = check_backend_ablation(args.compare_backend)
         for e in errors:
             print(e, file=sys.stderr)
         ok = not errors and ok
@@ -592,11 +401,9 @@ def main():
     if args.scan:
         files.extend(sorted(pathlib.Path(args.scan).rglob("BENCH_*.json")))
     if not files and not args.self_test and not args.compare_cache \
-            and not args.compare_plan and not args.compare_serve \
-            and not args.compare_backend:
+            and not args.compare_serve:
         parser.error("nothing to do: pass files, --scan, --compare-cache, "
-                     "--compare-plan, --compare-serve, --compare-backend, "
-                     "or --self-test")
+                     "--compare-serve, or --self-test")
 
     for path in files:
         errors = check_file(path)
