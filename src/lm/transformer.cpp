@@ -1,5 +1,6 @@
 #include "lm/transformer.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -192,7 +193,8 @@ void ln_backward(const Mat& dout, const LnCache& cache, Param& gamma,
     float* dxt = dx.row(t);
     for (int i = 0; i < d; ++i) {
       const float dxh = dot_[i] * gamma.w.data[static_cast<std::size_t>(i)];
-      dxt[i] += rstd * (dxh - inv_d * sum_dxhat - xh[i] * inv_d * sum_dxhat_xhat);
+      dxt[i] +=
+          rstd * (dxh - inv_d * sum_dxhat - xh[i] * inv_d * sum_dxhat_xhat);
     }
   }
 }
@@ -414,7 +416,8 @@ struct Transformer::Impl {
       float maxv = -1e30f;
       for (int i = 0; i < v; ++i) maxv = std::max(maxv, lt[i]);
       double total = 0.0;
-      for (int i = 0; i < v; ++i) total += std::exp(static_cast<double>(lt[i] - maxv));
+      for (int i = 0; i < v; ++i)
+        total += std::exp(static_cast<double>(lt[i] - maxv));
       const int y = targets[static_cast<std::size_t>(t)];
       loss += -(static_cast<double>(lt[y] - maxv) - std::log(total));
       float* dt = dlogits.row(t);
@@ -609,12 +612,12 @@ void linear_tile(const float* in, const Mat& w, const float* bias, int j,
   (store4(out + j + 4 * K, acc[K]), ...);
 }
 
-// The inference linear kernel: out = in · W + b, one row of out per row of
-// in, W (m×n) row-major. Each out[r][j] starts from the bias and adds
-// in[r][i] * W[i][j] in ascending i, skipping in[r][i] == 0, whatever the
-// other rows; that is what lets the serve runtime promise batched ==
-// sequential decoding. The per-element arithmetic is fixed (DESIGN.md
-// §13.3); only the schedule below is free.
+// The inference linear kernel: columns [j, end) of out = in · W + b, one
+// row of out per row of in, W (m×n) row-major. Each out[r][j] starts from
+// the bias and adds in[r][i] * W[i][j] in ascending i, skipping
+// in[r][i] == 0, whatever the other rows and columns; that is what lets the
+// serve runtime promise batched == sequential decoding. The per-element
+// arithmetic is fixed (DESIGN.md §13.3); only the schedule below is free.
 //
 // W is walked in strips of 32 columns, then 16, then 4, then single columns.
 // A strip stays in L1 while every row walks it, and each row keeps the
@@ -625,19 +628,19 @@ void linear_tile(const float* in, const Mat& w, const float* bias, int j,
 // Training keeps its own linear kernel, matmul() then add_bias(), which adds
 // the bias last. Float addition is not associative, so merging the two would
 // change the bytes of either every trained checkpoint or every decoded row.
-void batch_vec_matmul(const Mat& in, const Mat& w, const Param& b, Mat& out) {
+void batch_vec_matmul(const Mat& in, const Mat& w, const Param& b, Mat& out,
+                      int j, int end) {
   const float* bias = b.w.data.data();
-  int j = 0;
   const auto strips = [&]<std::size_t... K>(std::index_sequence<K...> tile) {
     constexpr int width = 4 * static_cast<int>(sizeof...(K));
-    for (; j + width <= w.cols; j += width)
+    for (; j + width <= end; j += width)
       for (int r = 0; r < in.rows; ++r)
         linear_tile(in.row(r), w, bias, j, out.row(r), tile);
   };
   strips(std::make_index_sequence<8>{});
   strips(std::make_index_sequence<4>{});
   strips(std::make_index_sequence<1>{});
-  for (; j < w.cols; ++j) {
+  for (; j < end; ++j) {
     for (int r = 0; r < in.rows; ++r) {
       const float* x = in.row(r);
       float a = bias[j];
@@ -646,6 +649,11 @@ void batch_vec_matmul(const Mat& in, const Mat& w, const Param& b, Mat& out) {
       out.row(r)[j] = a;
     }
   }
+}
+
+// Every column of out.
+void batch_vec_matmul(const Mat& in, const Mat& w, const Param& b, Mat& out) {
+  batch_vec_matmul(in, w, b, out, 0, w.cols);
 }
 
 // Longest common prefix between the cache and `ids`, with the last token
@@ -728,12 +736,16 @@ void Transformer::Impl::ensure_cache_shape(KvCache& kv) const {
 // positions pos[s] .. ids_list[s].size() - 1 are rows first[s] ..
 // first[s + 1] - 1, in ascending order. Each layer runs its four weight
 // matmuls once over the whole block; LayerNorm, GELU and the residuals run
-// per row. In ascending order, each new position appends its K and V rows to
-// its session's cache and then attends over its causal prefix there, which
-// the cache now holds. The final LayerNorm and the output head run only at
-// each session's last position. No operation mixes two rows' values, so a
-// session's logits depend neither on its batch nor on how many of its
-// positions are new.
+// per row. Every new position appends its K and V rows to its session's
+// cache, and then each attends over its causal prefix there.
+//
+// Only each session's last position reaches the head, and the cache keeps
+// only K and V, so the final layer needs the rest at that position alone:
+// its qkv matmul computes the K and V columns over the block, and after the
+// append the block shrinks to one row per session, where the Q columns,
+// attention, out-projection, MLP, the final LayerNorm and the head run. No
+// operation mixes two rows' values, so a session's logits depend neither on
+// its batch nor on how many of its positions are new.
 std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
     std::span<const std::vector<int>> ids_list,
     std::span<KvCache* const> caches) const {
@@ -751,7 +763,7 @@ std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
     first[s + 1] = first[s] + static_cast<int>(ids_list[s].size()) - pos[s];
     reused += pos[s];
   }
-  const int rows = first[ns];
+  int rows = first[ns];
   record_kv_counters(reused, rows);
 
   Mat x(rows, d);
@@ -778,24 +790,48 @@ std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
   const auto add_branch = [&] {
     for (std::size_t i = 0; i < x.data.size(); ++i) x.data[i] += branch.data[i];
   };
+  // Row s becomes session s's last position, and the block shrinks to those
+  // ns rows.
+  const auto keep_last_rows = [&] {
+    for (std::size_t s = 0; s < ns; ++s) {
+      const int r = first[s + 1] - 1, kept = static_cast<int>(s);
+      std::copy_n(x.row(r), d, x.row(kept));
+      std::copy_n(norm.row(r), d, norm.row(kept));
+      first[s] = kept;
+      pos[s] = static_cast<int>(ids_list[s].size()) - 1;
+    }
+    rows = first[ns] = static_cast<int>(ns);
+    for (Mat* m : {&x, &norm, &qkv, &ctx, &branch, &ff}) {
+      m->rows = rows;
+      m->data.resize(static_cast<std::size_t>(rows * m->cols));
+    }
+  };
 
-  for (int li = 0; li < cfg.n_layers; ++li) {
-    const LayerParams& lp = layers[static_cast<std::size_t>(li)];
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    const LayerParams& lp = layers[li];
+    const bool final_layer = li + 1 == layers.size();
 
     layer_norm_rows(lp.ln1_g, lp.ln1_b);
-    batch_vec_matmul(norm, lp.w_qkv.w, lp.b_qkv, qkv);
-    for (std::size_t s = 0; s < ns; ++s) {
-      Mat& kc = caches[s]->k[static_cast<std::size_t>(li)];
-      Mat& vc = caches[s]->v[static_cast<std::size_t>(li)];
+    batch_vec_matmul(norm, lp.w_qkv.w, lp.b_qkv, qkv, final_layer ? d : 0,
+                     3 * d);
+    for (std::size_t s = 0; s < ns; ++s)
       for (int r = first[s], t = pos[s]; r < first[s + 1]; ++r, ++t) {
         const float* qr = qkv.row(r);
-        std::copy(qr + d, qr + 2 * d, kc.row(t));
-        std::copy(qr + 2 * d, qr + 3 * d, vc.row(t));
+        std::copy(qr + d, qr + 2 * d, caches[s]->k[li].row(t));
+        std::copy(qr + 2 * d, qr + 3 * d, caches[s]->v[li].row(t));
+      }
+    if (final_layer) {
+      keep_last_rows();
+      batch_vec_matmul(norm, lp.w_qkv.w, lp.b_qkv, qkv, 0, d);
+    }
+    for (std::size_t s = 0; s < ns; ++s) {
+      const Mat& kc = caches[s]->k[li];
+      const Mat& vc = caches[s]->v[li];
+      for (int r = first[s], t = pos[s]; r < first[s + 1]; ++r, ++t)
         for (int h = 0; h < nh; ++h)
-          attend(qr + h * dh, kc.row(0) + h * dh, vc.row(0) + h * dh,
+          attend(qkv.row(r) + h * dh, kc.row(0) + h * dh, vc.row(0) + h * dh,
                  static_cast<std::size_t>(d), t + 1, dh, scale, att.data(),
                  ctx.row(r) + h * dh);
-      }
     }
     batch_vec_matmul(ctx, lp.w_o.w, lp.b_o, branch);
     add_branch();
@@ -807,12 +843,9 @@ std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
     add_branch();
   }
 
-  Mat last(static_cast<int>(ns), d);
-  for (std::size_t s = 0; s < ns; ++s)
-    layer_norm(x.row(first[s + 1] - 1), lnf_g, lnf_b, d,
-               last.row(static_cast<int>(s)));
-  Mat logits(static_cast<int>(ns), cfg.vocab_size);
-  batch_vec_matmul(last, w_out.w, b_out, logits);
+  layer_norm_rows(lnf_g, lnf_b);
+  Mat logits(rows, cfg.vocab_size);
+  batch_vec_matmul(norm, w_out.w, b_out, logits);
   std::vector<std::vector<float>> out;
   for (int s = 0; s < logits.rows; ++s)
     out.emplace_back(logits.row(s), logits.row(s) + logits.cols);
@@ -967,7 +1000,8 @@ unsigned __int128 parameter_count(const TransformerConfig& c) {
 
 void Transformer::save(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
-  if (!out) throw util::RuntimeError("cannot open checkpoint for write: " + path);
+  if (!out)
+    throw util::RuntimeError("cannot open checkpoint for write: " + path);
   const auto put_u32 = [&](std::uint32_t v) {
     out.write(reinterpret_cast<const char*>(&v), sizeof(v));
   };

@@ -101,11 +101,13 @@ class Transformer final : public LanguageModel {
   // Cross-session batched forward (the serve runtime's hot path): decode the
   // next-token logits for N independent contexts in one pass. Every new
   // position of every session is one row of a block, so each layer sweeps
-  // each weight matrix once for all of them. `caches[i]` must be distinct
-  // per-session caches. There is one inference forward and logits() is its
-  // batch of one; no operation mixes two rows' values, so the result for
-  // each session is bit-identical to logits(contexts[i]) and batching is
-  // schedule-invisible.
+  // each weight matrix once for all of them. The final layer computes K and
+  // V at every new position, for the cache, and the rest only at each
+  // session's last position, the one the output head reads. `caches[i]`
+  // must be distinct per-session caches. There is one inference forward and
+  // logits() is its batch of one; no operation mixes two rows' values, so
+  // the result for each session is bit-identical to logits(contexts[i]) and
+  // batching is schedule-invisible.
   std::vector<std::vector<float>> logits_batch(
       std::span<const std::vector<int>> contexts,
       std::span<KvCache* const> caches) const;

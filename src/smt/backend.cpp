@@ -118,6 +118,7 @@ void FailoverBackend::note_degraded() {
 
 CheckResult FailoverBackend::check_assuming(
     std::span<const Formula> assumptions, const Budget& budget) {
+  ++checks_;
   if (primary_usable()) {
     const std::int64_t faults_before = primary_->backend_stats().faults;
     const CheckResult r = primary_->check_assuming(assumptions, budget);
@@ -136,20 +137,30 @@ std::optional<Int> FailoverBackend::model_value(VarId v) {
                                  : fallback_->model_value(v);
 }
 
+// An interval search is a run of checks; `checks_` counts those of the
+// backend whose interval is returned.
 std::optional<Interval> FailoverBackend::try_feasible_interval(
     VarId v, std::span<const Formula> assumptions, const Budget& budget) {
+  const auto search = [&](Backend& b) {
+    const std::int64_t before = b.stats().checks;
+    const std::optional<Interval> r =
+        b.try_feasible_interval(v, assumptions, budget);
+    return std::pair{r, b.stats().checks - before};
+  };
   if (primary_usable()) {
     const std::int64_t faults_before = primary_->backend_stats().faults;
-    const std::optional<Interval> r =
-        primary_->try_feasible_interval(v, assumptions, budget);
+    const auto [r, probes] = search(*primary_);
     if (primary_->backend_stats().faults == faults_before) {
+      checks_ += probes;
       last_served_by_primary_ = true;
       return r;
     }
   }
   last_served_by_primary_ = false;
   note_degraded();
-  return fallback_->try_feasible_interval(v, assumptions, budget);
+  const auto [r, probes] = search(*fallback_);
+  checks_ += probes;
+  return r;
 }
 
 SolverStats FailoverBackend::stats() const {
@@ -161,6 +172,7 @@ SolverStats FailoverBackend::stats() const {
 BackendStats FailoverBackend::backend_stats() const {
   BackendStats s = primary_->backend_stats();
   s += fallback_->backend_stats();
+  s.checks = checks_;
   s.degraded += degraded_;
   return s;
 }

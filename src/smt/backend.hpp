@@ -241,6 +241,9 @@ class FailoverBackend final : public Backend {
   std::unique_ptr<Backend> primary_;
   std::unique_ptr<Backend> fallback_;
   bool last_served_by_primary_ = false;
+  // Checks answered on either route, each once: a primary attempt that
+  // faulted and was answered again by the fallback is one check.
+  std::int64_t checks_ = 0;
   std::int64_t degraded_ = 0;
 };
 

@@ -361,15 +361,19 @@ std::vector<float> reference_logits(const TransformerConfig& c,
 }
 
 TEST(Transformer, InferenceMatchesScalarReference) {
-  // perfbench's model; tiny_config; and an odd shape whose widths (60, 180,
-  // 36 and 7 columns, head width 20) run every column tail of the linear
-  // kernel and the attention tail for head widths other than 16.
+  // perfbench's model; tiny_config; an odd shape whose widths (60, 180, 36
+  // and 7 columns, head width 20) run every column tail of the linear kernel
+  // and the attention tail for head widths other than 16; and three layers,
+  // whose middle one must run at every new position like the first: only
+  // the final layer narrows to each session's last position.
   const std::vector<TransformerConfig> shapes{
       {.vocab_size = 19, .d_model = 64, .n_layers = 2, .n_heads = 4,
        .d_ff = 128, .max_seq = 64},
       tiny_config(6),
       {.vocab_size = 7, .d_model = 60, .n_layers = 1, .n_heads = 3,
-       .d_ff = 36, .max_seq = 20}};
+       .d_ff = 36, .max_seq = 20},
+      {.vocab_size = 5, .d_model = 16, .n_layers = 3, .n_heads = 2,
+       .d_ff = 24, .max_seq = 12}};
   util::Rng rng(34);
   for (const TransformerConfig& c : shapes) {
     Transformer m(c, rng);
@@ -392,12 +396,16 @@ TEST(Transformer, InferenceMatchesScalarReference) {
           << "d_model " << c.d_model << ", " << ctx.size() << " tokens";
     }
 
-    // One batch: a cold 20-token session beside a 1-token append.
-    std::vector<std::vector<int>> batch{{}, ctx};
+    // One batch: a cold 20-token session, a 1-token append, and a 3-token
+    // append to a warm 4-token context.
+    std::vector<std::vector<int>> batch{{}, ctx, {}};
     for (int i = 0; i < 20; ++i) batch[0].push_back(token());
     batch[1].push_back(token());
-    KvCache cold;
-    const std::vector<KvCache*> caches{&cold, &cache};
+    for (int i = 0; i < 4; ++i) batch[2].push_back(token());
+    KvCache cold, warm;
+    (void)m.logits(batch[2], warm);
+    for (int i = 0; i < 3; ++i) batch[2].push_back(token());
+    const std::vector<KvCache*> caches{&cold, &cache, &warm};
     const auto out = m.logits_batch(batch, caches);
     for (std::size_t s = 0; s < batch.size(); ++s)
       EXPECT_EQ(out[s], reference_logits(c, flat, batch[s]))
@@ -477,7 +485,7 @@ TEST(Transformer, LoadRejectsGarbage) {
   EXPECT_EQ(Transformer::load(path).num_parameters(), n);
 }
 
-// --- KV cache + batched decode ------------------------------------------------
+// --- KV cache + batched decode -----------------------------------------------
 
 TEST(Transformer, CallerCacheMatchesInternalCacheBitExactly) {
   util::Rng rng(23);

@@ -34,7 +34,7 @@ Formula random_constraint(util::Rng& rng, const std::vector<VarId>& vars) {
   }
 }
 
-// --- MinismtBackend ≡ raw Solver --------------------------------------------
+// --- MinismtBackend ≡ raw Solver -------------------------------------------
 
 TEST(MinismtBackend, MatchesRawSolverAcrossRandomSessions) {
   util::Rng rng(1337);
@@ -225,7 +225,8 @@ TEST(BackendSpec, AutoFallsBackToMinismtWhenNothingIsFound) {
   ::unsetenv("LEJIT_SMT_SOLVER");
   ::unsetenv("LEJIT_SMTSERVE");
   ::setenv("PATH", "/nonexistent-for-test", 1);
-  const BackendConfig cfg = backend_config_from_spec("auto", "/nonexistent/cli");
+  const BackendConfig cfg =
+      backend_config_from_spec("auto", "/nonexistent/cli");
   if (saved_solver) ::setenv("LEJIT_SMT_SOLVER", saved_solver, 1);
   if (saved_serve) ::setenv("LEJIT_SMTSERVE", saved_serve, 1);
   if (saved_path) ::setenv("PATH", saved_path, 1);
@@ -255,16 +256,25 @@ TEST(FailoverBackend, AbsentBinaryDegradesEveryCheckToTheFallback) {
   EXPECT_GT(stats.spawn_failures, 0);
   EXPECT_GT(stats.faults, 0);
 
+  // Past the respawn budget (max_respawns 3) the primary is unhealthy and no
+  // longer asked. Every check is still answered, and counted once.
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(b->check(), CheckResult::kSat);
+  const BackendStats later = b->backend_stats();
+  EXPECT_EQ(later.checks, 10);
+  EXPECT_EQ(later.degraded, 10);
+
   // The fallback's model is available after a degraded sat check.
   ASSERT_EQ(b->check(), CheckResult::kSat);
   const auto w = b->model_value(x);
   ASSERT_TRUE(w.has_value());
   EXPECT_LE(*w, 5);
 
-  // Degraded feasible intervals are exact (the fallback mirrors all state).
+  // Degraded feasible intervals are exact (the fallback mirrors all state),
+  // and each probe of the search is a check.
   const auto iv = b->try_feasible_interval(x);
   ASSERT_TRUE(iv.has_value());
   EXPECT_EQ(*iv, (Interval{0, 5}));
+  EXPECT_GT(b->backend_stats().checks, 11);
 }
 
 TEST(FailoverBackend, GenuineUnknownIsNotDegradation) {
