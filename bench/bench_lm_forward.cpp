@@ -8,8 +8,6 @@
 //
 //   ColdPrefill27   a fresh KvCache and a 26-token context: 27 positions
 //   WarmAppend/N    a cached 26-token prefix and N new positions
-//   BatchAppend2    two sessions, each a warm 1-position append, in one
-//                   logits_batch call
 //   DecodePattern   prefill of the 26-token prompt, then appends of 2 and 1
 //                   tokens in turn until the context holds 43 tokens (the
 //                   longest perfbench row); time_per_forward is the figure
@@ -86,22 +84,6 @@ void BM_WarmAppend(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WarmAppend)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
-
-void BM_BatchAppend2(benchmark::State& state) {
-  const auto [a0, b0] = forked(random_tokens(kPrompt, 5), 1, 6);
-  const auto [a1, b1] = forked(random_tokens(kPrompt, 7), 1, 8);
-  const std::vector<std::vector<int>> first{a0, a1}, second{b0, b1};
-  std::vector<lm::KvCache> caches(2);
-  std::vector<lm::KvCache*> cache_ptrs{&caches[0], &caches[1]};
-  (void)model().logits_batch(first, cache_ptrs);
-  bool flip = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model().logits_batch(flip ? first : second, cache_ptrs));
-    flip = !flip;
-  }
-}
-BENCHMARK(BM_BatchAppend2)->Unit(benchmark::kMicrosecond);
 
 void BM_DecodePattern(benchmark::State& state) {
   const std::vector<int> row = random_tokens(kRowTokens, 9);

@@ -3,17 +3,13 @@
 //
 // The sweep decodes the same imputation workload through Server
 // configurations of increasing (workers x batch) sessions and reports
-// rows/sec, the LM forwards and contexts per forward (1.0: every session
-// runs its own), and — the load-bearing claim — that every configuration's
-// output is bit-identical to the sequential decode of the same (seed, row)
-// pairs. The google-benchmark micro-timings price what cross-session
-// batching would buy: one logits_batch forward over N cold contexts against
-// N sequential ones.
+// rows/sec, the LM forwards, and — the load-bearing claim — that every
+// configuration's output is bit-identical to the sequential decode of the
+// same (seed, row) pairs. Every session runs its own forwards, so the
+// forward count does not depend on the configuration.
 //
 // The "serve" section is what tools/check_bench_json.py --compare-serve
 // gates on (ctest serve_bench_smoke runs the --smoke sweep).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -75,56 +71,7 @@ std::vector<std::string> workload(int rows) {
   return out;
 }
 
-// --- micro: batched vs sequential cold forwards ------------------------------
-
-std::vector<std::vector<int>> forward_contexts() {
-  std::vector<std::vector<int>> ctxs;
-  for (std::size_t i = 0; i < 8 && i < env().test.size(); ++i) {
-    auto ids = env().tokenizer.encode(telemetry::window_to_row(env().test[i]));
-    ids.resize(std::min<std::size_t>(ids.size(), 48));
-    ctxs.push_back(std::move(ids));
-  }
-  return ctxs;
-}
-
-void BM_SequentialForwards4(benchmark::State& state) {
-  const auto ctxs = forward_contexts();
-  lm::KvCache cache;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    for (int s = 0; s < 4; ++s) {
-      cache.clear();  // cold forward: no cross-iteration KV reuse
-      benchmark::DoNotOptimize(
-          env().transformer->logits(ctxs[(i + static_cast<std::size_t>(s)) %
-                                         ctxs.size()],
-                                    cache));
-    }
-    ++i;
-  }
-}
-BENCHMARK(BM_SequentialForwards4)->Unit(benchmark::kMillisecond);
-
-void BM_BatchedForwards4(benchmark::State& state) {
-  const auto ctxs = forward_contexts();
-  std::vector<lm::KvCache> caches(4);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    std::vector<std::vector<int>> batch;
-    std::vector<lm::KvCache*> cache_ptrs;
-    for (int s = 0; s < 4; ++s) {
-      batch.push_back(
-          ctxs[(i + static_cast<std::size_t>(s)) % ctxs.size()]);
-      caches[static_cast<std::size_t>(s)].clear();
-      cache_ptrs.push_back(&caches[static_cast<std::size_t>(s)]);
-    }
-    benchmark::DoNotOptimize(
-        env().transformer->logits_batch(batch, cache_ptrs));
-    ++i;
-  }
-}
-BENCHMARK(BM_BatchedForwards4)->Unit(benchmark::kMillisecond);
-
-// --- the sweep ----------------------------------------------------------------
+// --- the sweep ---------------------------------------------------------------
 
 struct ServeRun {
   int workers = 0;
@@ -132,7 +79,6 @@ struct ServeRun {
   std::size_t rows = 0;
   double seconds = 0.0;
   double rows_per_sec = 0.0;
-  double mean_batch_width = 0.0;
   std::uint64_t batched_forwards = 0;
   std::uint64_t degraded_rows = 0;
   bool bit_identical = true;
@@ -159,10 +105,6 @@ ServeRun run_serve(int workers, int batch,
       run.seconds > 0.0 ? static_cast<double>(rows.size()) / run.seconds : 0.0;
 
   const serve::ServeStats stats = server.stats();
-  run.mean_batch_width = stats.batched_forwards == 0
-                             ? 0.0
-                             : static_cast<double>(stats.forwarded_contexts) /
-                                   static_cast<double>(stats.batched_forwards);
   run.batched_forwards = stats.batched_forwards;
   run.degraded_rows = stats.degraded_rows;
   for (std::size_t i = 0; i < results.size(); ++i)
@@ -180,9 +122,9 @@ void print_serve_sweep(bench::JsonReport& report) {
   std::vector<std::string> expect;
   double seq_seconds = 0.0;
   {
-    core::GuidedDecoder dec(*env().transformer, env().tokenizer, env().layout,
-                            env().mined,
-                            core::DecoderConfig{.mode = core::GuidanceMode::kFull});
+    core::GuidedDecoder dec(
+        *env().transformer, env().tokenizer, env().layout, env().mined,
+        core::DecoderConfig{.mode = core::GuidanceMode::kFull});
     util::Timer timer;
     for (std::size_t i = 0; i < rows.size(); ++i) {
       util::Rng rng = core::row_rng(kServeSeed, i, 0);
@@ -205,8 +147,8 @@ void print_serve_sweep(bench::JsonReport& report) {
       "Serving throughput — workers x batch sweep over " +
           std::to_string(n_rows) + " imputation rows (sequential baseline " +
           bench::fmt(seq_rows_per_sec, 1) + " rows/s)",
-      {"workers x batch", "rows/s", "vs sequential", "contexts per forward",
-       "forwards", "bit-identical"});
+      {"workers x batch", "rows/s", "vs sequential", "forwards",
+       "bit-identical"});
   bool all_identical = true;
   for (const ServeRun& r : runs) {
     all_identical = all_identical && r.bit_identical && r.degraded_rows == 0;
@@ -216,7 +158,6 @@ void print_serve_sweep(bench::JsonReport& report) {
                                   ? r.rows_per_sec / seq_rows_per_sec
                                   : 0.0,
                               2) + "x",
-                   bench::fmt(r.mean_batch_width, 2),
                    std::to_string(r.batched_forwards),
                    r.bit_identical ? "YES" : "NO *** MISMATCH ***"});
   }
@@ -240,7 +181,6 @@ void print_serve_sweep(bench::JsonReport& report) {
     w.key("speedup_vs_sequential")
         .value(seq_rows_per_sec > 0.0 ? r.rows_per_sec / seq_rows_per_sec
                                       : 0.0);
-    w.key("mean_batch_width").value(r.mean_batch_width);
     w.key("batched_forwards")
         .value(static_cast<std::int64_t>(r.batched_forwards));
     w.key("degraded_rows").value(static_cast<std::int64_t>(r.degraded_rows));
@@ -264,9 +204,6 @@ int main(int argc, char** argv) {
     }
   }
   bench::JsonReport report("serve_throughput", &argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (!g_smoke) benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   print_serve_sweep(report);
   report.add_env(env().config);
   report.write();

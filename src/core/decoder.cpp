@@ -255,8 +255,6 @@ GuidedDecoder::GuidedDecoder(const lm::LanguageModel& model,
           "stale decode plan: its fingerprint does not match this rule set "
           "and layout (recompile with `lejit_cli plan`)");
     plan_ = std::move(config_.plan);
-  } else if (config_.compile_plan) {
-    plan_ = plan::compile(rules_, layout_, config_.plan_config);
   }
   if (plan_) {
     // The sliced hot path only engages for kFull look-ahead (the mode whose
@@ -739,8 +737,9 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
                 "prompt contradicts the rule set (or check stayed "
                 "inconclusive under the kUnknown policy)"};
       }
-      // Full rules ∧ bans ∧ prompt pins satisfiable ⇒ every cluster's slice
-      // of that state is satisfiable (a full model restricts to each).
+      // Full rules ∧ bans ∧ prompt pins satisfiable ⇒ every cluster's
+      // slice of that state is satisfiable (a full model restricts to
+      // each).
       if (plan_attempt)
         std::fill(cluster_state.begin(), cluster_state.end(),
                   static_cast<signed char>(1));

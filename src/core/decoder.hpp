@@ -129,19 +129,16 @@ struct DecoderConfig {
   // stays bit-identical with or without the seeding.
   bool lint_on_load = false;
   lint::Config lint{};
-  // Static decode plan (DESIGN.md §11). When set, the constructor validates
-  // its fingerprint against the rule set + layout and throws
-  // util::RuntimeError on a mismatch (a stale plan must never drive masks).
-  // When `compile_plan` is set instead, the plan is compiled in the
-  // constructor under `plan_config`. An active plan lets kFull decoding
+  // Static decode plan (DESIGN.md §11), from plan::compile or a loaded
+  // artifact. When set, the constructor validates its fingerprint against
+  // the rule set + layout and throws util::RuntimeError on a mismatch (a
+  // stale plan must never drive masks). An active plan lets kFull decoding
   // answer digit/terminator feasibility from solver-verified tables
   // (decode.plan.table_hits) and route the remaining live queries to a
   // per-cluster solver carrying only the rules the current field can still
   // depend on (decode.plan.sliced_queries). Decoded text is bit-identical
   // with the plan on or off for a fixed seed.
   std::optional<plan::DecodePlan> plan{};
-  bool compile_plan = false;
-  plan::Config plan_config{};
 };
 
 struct DecodeStats {

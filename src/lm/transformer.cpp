@@ -280,13 +280,11 @@ struct Transformer::Impl {
   // Lazily size a cache for this model and reject caches shaped for another.
   void ensure_cache_shape(KvCache& kv) const;
 
-  // The one inference forward, over independent (ids, cache) sessions: reuse
-  // each cache's K/V for the common prefix of its ids, process only the new
-  // suffix, return logits at the last position. Sequential decode is the
-  // batch of one.
-  std::vector<std::vector<float>> decode_logits_batch(
-      std::span<const std::vector<int>> ids_list,
-      std::span<KvCache* const> caches) const;
+  // The one inference forward: reuse the cache's K/V for the common prefix
+  // of `ids`, process only the new suffix, return logits at the last
+  // position.
+  std::vector<float> decode_logits(const std::vector<int>& ids,
+                                   KvCache& kv) const;
 
   std::vector<Param*> all_params() {
     std::vector<Param*> ps{&tok_emb, &pos_emb, &lnf_g, &lnf_b, &w_out, &b_out};
@@ -615,9 +613,10 @@ void linear_tile(const float* in, const Mat& w, const float* bias, int j,
 // The inference linear kernel: columns [j, end) of out = in · W + b, one
 // row of out per row of in, W (m×n) row-major. Each out[r][j] starts from
 // the bias and adds in[r][i] * W[i][j] in ascending i, skipping
-// in[r][i] == 0, whatever the other rows and columns; that is what lets the
-// serve runtime promise batched == sequential decoding. The per-element
-// arithmetic is fixed (DESIGN.md §13.3); only the schedule below is free.
+// in[r][i] == 0, whatever the other rows and columns; that is what keeps a
+// position's logits independent of how many positions its call processes.
+// The per-element arithmetic is fixed (DESIGN.md §13.3); only the schedule
+// below is free.
 //
 // W is walked in strips of 32 columns, then 16, then 4, then single columns.
 // A strip stays in L1 while every row walks it, and each row keeps the
@@ -732,39 +731,30 @@ void Transformer::Impl::ensure_cache_shape(KvCache& kv) const {
                 "KvCache was sized for a different model");
 }
 
-// Every new position of every session is one row of a block: session s's
-// positions pos[s] .. ids_list[s].size() - 1 are rows first[s] ..
-// first[s + 1] - 1, in ascending order. Each layer runs its four weight
-// matmuls once over the whole block; LayerNorm, GELU and the residuals run
-// per row. Every new position appends its K and V rows to its session's
+// Every new position is one row of a block: positions pos .. ids.size() - 1
+// are rows 0 .. rows - 1, in ascending order. Each layer runs its four
+// weight matmuls once over the whole block; LayerNorm, GELU and the
+// residuals run per row. Every new position appends its K and V rows to the
 // cache, and then each attends over its causal prefix there.
 //
-// Only each session's last position reaches the head, and the cache keeps
-// only K and V, so the final layer needs the rest at that position alone:
-// its qkv matmul computes the K and V columns over the block, and after the
-// append the block shrinks to one row per session, where the Q columns,
-// attention, out-projection, MLP, the final LayerNorm and the head run. No
-// operation mixes two rows' values, so a session's logits depend neither on
-// its batch nor on how many of its positions are new.
-std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
-    std::span<const std::vector<int>> ids_list,
-    std::span<KvCache* const> caches) const {
-  const std::size_t ns = ids_list.size();
+// Only the last position reaches the head, and the cache keeps only K and
+// V, so the final layer needs the rest at that position alone: its qkv
+// matmul computes the K and V columns over the block, and after the append
+// the block shrinks to the last row, where the Q columns, attention,
+// out-projection, MLP, the final LayerNorm and the head run. No operation
+// mixes two rows' values, so the logits do not depend on how many positions
+// are new.
+std::vector<float> Transformer::Impl::decode_logits(const std::vector<int>& ids,
+                                                    KvCache& kv) const {
   const int d = cfg.d_model;
   const int nh = cfg.n_heads;
   const int dh = d / nh;
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
 
-  std::vector<int> pos(ns), first(ns + 1, 0);
-  std::int64_t reused = 0;
-  for (std::size_t s = 0; s < ns; ++s) {
-    ensure_cache_shape(*caches[s]);
-    pos[s] = static_cast<int>(kv_common_prefix(*caches[s], ids_list[s]));
-    first[s + 1] = first[s] + static_cast<int>(ids_list[s].size()) - pos[s];
-    reused += pos[s];
-  }
-  int rows = first[ns];
-  record_kv_counters(reused, rows);
+  ensure_cache_shape(kv);
+  int pos = static_cast<int>(kv_common_prefix(kv, ids));
+  int rows = static_cast<int>(ids.size()) - pos;
+  record_kv_counters(pos, rows);
 
   Mat x(rows, d);
   Mat norm(rows, d);
@@ -774,14 +764,13 @@ std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
   Mat ff(rows, cfg.d_ff);
   std::vector<float> att(static_cast<std::size_t>(cfg.max_seq));
 
-  // Row r of session s holds position pos[s] + r - first[s].
-  for (std::size_t s = 0; s < ns; ++s)
-    for (int r = first[s], t = pos[s]; r < first[s + 1]; ++r, ++t) {
-      const float* e = tok_emb.w.row(ids_list[s][static_cast<std::size_t>(t)]);
-      const float* p = pos_emb.w.row(t);
-      float* xr = x.row(r);
-      for (int i = 0; i < d; ++i) xr[i] = e[i] + p[i];
-    }
+  // Row r holds position pos + r.
+  for (int r = 0; r < rows; ++r) {
+    const float* e = tok_emb.w.row(ids[static_cast<std::size_t>(pos + r)]);
+    const float* p = pos_emb.w.row(pos + r);
+    float* xr = x.row(r);
+    for (int i = 0; i < d; ++i) xr[i] = e[i] + p[i];
+  }
 
   const auto layer_norm_rows = [&](const Param& gamma, const Param& beta) {
     for (int r = 0; r < rows; ++r)
@@ -790,20 +779,15 @@ std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
   const auto add_branch = [&] {
     for (std::size_t i = 0; i < x.data.size(); ++i) x.data[i] += branch.data[i];
   };
-  // Row s becomes session s's last position, and the block shrinks to those
-  // ns rows.
-  const auto keep_last_rows = [&] {
-    for (std::size_t s = 0; s < ns; ++s) {
-      const int r = first[s + 1] - 1, kept = static_cast<int>(s);
-      std::copy_n(x.row(r), d, x.row(kept));
-      std::copy_n(norm.row(r), d, norm.row(kept));
-      first[s] = kept;
-      pos[s] = static_cast<int>(ids_list[s].size()) - 1;
-    }
-    rows = first[ns] = static_cast<int>(ns);
+  // Row 0 becomes the last position, and the block shrinks to that row.
+  const auto keep_last_row = [&] {
+    std::copy_n(x.row(rows - 1), d, x.row(0));
+    std::copy_n(norm.row(rows - 1), d, norm.row(0));
+    pos += rows - 1;
+    rows = 1;
     for (Mat* m : {&x, &norm, &qkv, &ctx, &branch, &ff}) {
       m->rows = rows;
-      m->data.resize(static_cast<std::size_t>(rows * m->cols));
+      m->data.resize(static_cast<std::size_t>(m->cols));
     }
   };
 
@@ -814,25 +798,22 @@ std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
     layer_norm_rows(lp.ln1_g, lp.ln1_b);
     batch_vec_matmul(norm, lp.w_qkv.w, lp.b_qkv, qkv, final_layer ? d : 0,
                      3 * d);
-    for (std::size_t s = 0; s < ns; ++s)
-      for (int r = first[s], t = pos[s]; r < first[s + 1]; ++r, ++t) {
-        const float* qr = qkv.row(r);
-        std::copy(qr + d, qr + 2 * d, caches[s]->k[li].row(t));
-        std::copy(qr + 2 * d, qr + 3 * d, caches[s]->v[li].row(t));
-      }
+    for (int r = 0; r < rows; ++r) {
+      const float* qr = qkv.row(r);
+      std::copy(qr + d, qr + 2 * d, kv.k[li].row(pos + r));
+      std::copy(qr + 2 * d, qr + 3 * d, kv.v[li].row(pos + r));
+    }
     if (final_layer) {
-      keep_last_rows();
+      keep_last_row();
       batch_vec_matmul(norm, lp.w_qkv.w, lp.b_qkv, qkv, 0, d);
     }
-    for (std::size_t s = 0; s < ns; ++s) {
-      const Mat& kc = caches[s]->k[li];
-      const Mat& vc = caches[s]->v[li];
-      for (int r = first[s], t = pos[s]; r < first[s + 1]; ++r, ++t)
-        for (int h = 0; h < nh; ++h)
-          attend(qkv.row(r) + h * dh, kc.row(0) + h * dh, vc.row(0) + h * dh,
-                 static_cast<std::size_t>(d), t + 1, dh, scale, att.data(),
-                 ctx.row(r) + h * dh);
-    }
+    const Mat& kc = kv.k[li];
+    const Mat& vc = kv.v[li];
+    for (int r = 0; r < rows; ++r)
+      for (int h = 0; h < nh; ++h)
+        attend(qkv.row(r) + h * dh, kc.row(0) + h * dh, vc.row(0) + h * dh,
+               static_cast<std::size_t>(d), pos + r + 1, dh, scale, att.data(),
+               ctx.row(r) + h * dh);
     batch_vec_matmul(ctx, lp.w_o.w, lp.b_o, branch);
     add_branch();
 
@@ -846,10 +827,7 @@ std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
   layer_norm_rows(lnf_g, lnf_b);
   Mat logits(rows, cfg.vocab_size);
   batch_vec_matmul(norm, w_out.w, b_out, logits);
-  std::vector<std::vector<float>> out;
-  for (int s = 0; s < logits.rows; ++s)
-    out.emplace_back(logits.row(s), logits.row(s) + logits.cols);
-  return out;
+  return std::move(logits.data);
 }
 
 namespace {
@@ -925,46 +903,8 @@ std::vector<float> Transformer::logits(std::span<const int> context,
   const bool obs_on = obs::metrics_enabled();
   const std::int64_t t0 = obs_on ? obs::now_ns() : 0;
   const std::vector<int> ids = window_context(config_, context);
-  KvCache* const kv = &cache;
-  std::vector<float> out =
-      std::move(impl_->decode_logits_batch({&ids, 1}, {&kv, 1}).front());
+  std::vector<float> out = impl_->decode_logits(ids, cache);
   if (obs_on) record_forward(t0);
-  return out;
-}
-
-std::vector<std::vector<float>> Transformer::logits_batch(
-    std::span<const std::vector<int>> contexts,
-    std::span<KvCache* const> caches) const {
-  LEJIT_REQUIRE(contexts.size() == caches.size(),
-                "logits_batch: contexts/caches size mismatch");
-  LEJIT_REQUIRE(!contexts.empty(), "logits_batch: empty batch");
-  for (std::size_t i = 0; i < caches.size(); ++i) {
-    LEJIT_REQUIRE(caches[i] != nullptr, "logits_batch: null KvCache");
-    for (std::size_t j = i + 1; j < caches.size(); ++j)
-      LEJIT_REQUIRE(caches[i] != caches[j],
-                    "logits_batch: sessions must use distinct KvCaches");
-  }
-  fault::inject(fault::Site::kLmForward);
-  const bool obs_on = obs::metrics_enabled();
-  const std::int64_t t0 = obs_on ? obs::now_ns() : 0;
-  std::vector<std::vector<int>> ids_list;
-  ids_list.reserve(contexts.size());
-  for (const auto& context : contexts)
-    ids_list.push_back(window_context(config_, context));
-  std::vector<std::vector<float>> out =
-      impl_->decode_logits_batch(ids_list, caches);
-  if (obs_on) {
-    auto& registry = obs::MetricsRegistry::instance();
-    static obs::Counter& c_batches =
-        registry.counter("lm.transformer.batched_forwards");
-    static obs::Counter& c_rows =
-        registry.counter("lm.transformer.batched_contexts");
-    static obs::Histogram& h_latency =
-        registry.histogram("lm.transformer.batched_forward_latency_us");
-    c_batches.inc();
-    c_rows.add(static_cast<std::int64_t>(contexts.size()));
-    h_latency.observe(static_cast<double>(obs::now_ns() - t0) * 1e-3);
-  }
   return out;
 }
 

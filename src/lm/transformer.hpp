@@ -43,9 +43,9 @@ struct AdamConfig {
 // semantically invisible: logits computed through a cache are bit-identical
 // to a cold forward pass. A Transformer keeps one internal KvCache for the
 // plain logits() path; callers that decode concurrently over one shared
-// model own one KvCache per session instead (see TransformerSession and
-// Transformer::logits_batch) — the model weights are read-only during
-// inference, so distinct caches make concurrent decoding safe.
+// model own one KvCache per session instead (see TransformerSession) — the
+// model weights are read-only during inference, so distinct caches make
+// concurrent decoding safe.
 //
 // A KvCache is bound to one model: training steps or set_parameters_flat()
 // invalidate only the model's internal cache, so session caches must be
@@ -76,13 +76,15 @@ class Transformer final : public LanguageModel {
   // tokens). An empty context yields the unconditional first-token logits
   // (position 0 with a learned start embedding).
   //
-  // This is the inference forward of logits_batch() run on a batch of one.
-  // An internal KV cache makes repeated calls with growing contexts (the
-  // decoder's access pattern) O(context) instead of O(context²) per call.
-  // The cache is invisible semantically — logits are bit-identical to a
-  // cold forward pass — but makes logits() non-reentrant: a runtime guard
-  // aborts with a diagnostic if two threads overlap in here (use
-  // TransformerSession / the KvCache overloads to share a model).
+  // Both overloads run the one inference forward: every new position of the
+  // context is a row of one block, and the final layer's attention, MLP and
+  // head run at the last position only (DESIGN.md §13.3). An internal KV
+  // cache makes repeated calls with growing contexts (the decoder's access
+  // pattern) O(context) instead of O(context²) per call. The cache is
+  // invisible semantically — logits are bit-identical to a cold forward
+  // pass — but makes logits() non-reentrant: a runtime guard aborts with a
+  // diagnostic if two threads overlap in here (use TransformerSession / the
+  // KvCache overloads to share a model).
   //
   // Cache-efficiency note (lm.kv.* counters): while the context is shorter
   // than max_seq-1 every step reuses the full cached prefix and recomputes
@@ -97,20 +99,6 @@ class Transformer final : public LanguageModel {
   // concurrent calls with *distinct* caches (weights are read-only); the
   // reentrancy guard does not apply. Bit-identical to logits(context).
   std::vector<float> logits(std::span<const int> context, KvCache& cache) const;
-
-  // Cross-session batched forward (the serve runtime's hot path): decode the
-  // next-token logits for N independent contexts in one pass. Every new
-  // position of every session is one row of a block, so each layer sweeps
-  // each weight matrix once for all of them. The final layer computes K and
-  // V at every new position, for the cache, and the rest only at each
-  // session's last position, the one the output head reads. `caches[i]`
-  // must be distinct per-session caches. There is one inference forward and
-  // logits() is its batch of one; no operation mixes two rows' values, so
-  // the result for each session is bit-identical to logits(contexts[i]) and
-  // batching is schedule-invisible.
-  std::vector<std::vector<float>> logits_batch(
-      std::span<const std::vector<int>> contexts,
-      std::span<KvCache* const> caches) const;
 
   // --- training ----------------------------------------------------------
   // One optimizer step on a batch of token rows. Each row is trained with

@@ -8,7 +8,6 @@
 #include <exception>
 
 #include "obs/metrics.hpp"
-#include "plan/plan.hpp"
 #include "util/error.hpp"
 #include "util/sync.hpp"
 #include "util/timer.hpp"
@@ -83,14 +82,6 @@ Server::Server(const lm::Transformer& model,
     : config_(config), queue_(config.queue_capacity) {
   LEJIT_REQUIRE(config_.workers > 0, "serve: workers must be positive");
   LEJIT_REQUIRE(config_.batch > 0, "serve: batch must be positive");
-
-  // Compile the decode plan once and share the artifact, instead of letting
-  // every session's decoder constructor redo the identical compile.
-  if (decoder_config.compile_plan && !decoder_config.plan) {
-    decoder_config.plan =
-        plan::compile(rules, layout, decoder_config.plan_config);
-    decoder_config.compile_plan = false;
-  }
 
   const int sessions = config_.workers * config_.batch;
   sessions_.reserve(static_cast<std::size_t>(sessions));

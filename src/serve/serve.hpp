@@ -82,10 +82,10 @@ class DecodeSession {
 class Server {
  public:
   // Shares `model` and `tokenizer` (borrowed; must outlive the server)
-  // across all sessions. When `decoder_config.compile_plan` is set, the plan
-  // is compiled ONCE here and handed to every session, instead of once per
-  // session. Construction builds all workers * batch sessions, starts their
-  // threads and pins them round robin over the CPUs the process may use.
+  // across all sessions, and hands every session `decoder_config`, its
+  // compiled decode plan included. Construction builds all workers * batch
+  // sessions, starts their threads and pins them round robin over the CPUs
+  // the process may use.
   Server(const lm::Transformer& model, const lm::CharTokenizer& tokenizer,
          const telemetry::RowLayout& layout, rules::RuleSet rules,
          core::DecoderConfig decoder_config, ServeConfig config);

@@ -116,20 +116,36 @@ void FailoverBackend::note_degraded() {
   backend_counter("degraded").inc();
 }
 
+// Adds `served` answered checks. The primary already counted each check it
+// was asked in smt.backend.checks, so the counter gets the difference: it
+// moves with backend_stats().checks, whichever route answered. The
+// difference is negative when the probes of a faulted interval search
+// outnumber those of the fallback's search that replaced it.
+void FailoverBackend::count_checks(std::int64_t served,
+                                   std::int64_t primary_checks_before) {
+  checks_ += served;
+  const std::int64_t counted =
+      primary_->backend_stats().checks - primary_checks_before;
+  if (served != counted) backend_counter("checks").add(served - counted);
+}
+
 CheckResult FailoverBackend::check_assuming(
     std::span<const Formula> assumptions, const Budget& budget) {
-  ++checks_;
+  const std::int64_t primary_checks = primary_->backend_stats().checks;
+  CheckResult r = CheckResult::kUnknown;
+  last_served_by_primary_ = false;
   if (primary_usable()) {
     const std::int64_t faults_before = primary_->backend_stats().faults;
-    const CheckResult r = primary_->check_assuming(assumptions, budget);
-    if (primary_->backend_stats().faults == faults_before) {
-      last_served_by_primary_ = true;
-      return r;
-    }
+    r = primary_->check_assuming(assumptions, budget);
+    last_served_by_primary_ =
+        primary_->backend_stats().faults == faults_before;
   }
-  last_served_by_primary_ = false;
-  note_degraded();
-  return fallback_->check_assuming(assumptions, budget);
+  if (!last_served_by_primary_) {
+    note_degraded();
+    r = fallback_->check_assuming(assumptions, budget);
+  }
+  count_checks(1, primary_checks);
+  return r;
 }
 
 std::optional<Int> FailoverBackend::model_value(VarId v) {
@@ -141,25 +157,26 @@ std::optional<Int> FailoverBackend::model_value(VarId v) {
 // backend whose interval is returned.
 std::optional<Interval> FailoverBackend::try_feasible_interval(
     VarId v, std::span<const Formula> assumptions, const Budget& budget) {
+  const std::int64_t primary_checks = primary_->backend_stats().checks;
+  std::optional<Interval> r;
+  std::int64_t probes = 0;
   const auto search = [&](Backend& b) {
     const std::int64_t before = b.stats().checks;
-    const std::optional<Interval> r =
-        b.try_feasible_interval(v, assumptions, budget);
-    return std::pair{r, b.stats().checks - before};
+    r = b.try_feasible_interval(v, assumptions, budget);
+    probes = b.stats().checks - before;
   };
+  last_served_by_primary_ = false;
   if (primary_usable()) {
     const std::int64_t faults_before = primary_->backend_stats().faults;
-    const auto [r, probes] = search(*primary_);
-    if (primary_->backend_stats().faults == faults_before) {
-      checks_ += probes;
-      last_served_by_primary_ = true;
-      return r;
-    }
+    search(*primary_);
+    last_served_by_primary_ =
+        primary_->backend_stats().faults == faults_before;
   }
-  last_served_by_primary_ = false;
-  note_degraded();
-  const auto [r, probes] = search(*fallback_);
-  checks_ += probes;
+  if (!last_served_by_primary_) {
+    note_degraded();
+    search(*fallback_);
+  }
+  count_checks(probes, primary_checks);
   return r;
 }
 

@@ -237,12 +237,14 @@ class FailoverBackend final : public Backend {
  private:
   bool primary_usable() const noexcept;
   void note_degraded();
+  void count_checks(std::int64_t served, std::int64_t primary_checks_before);
 
   std::unique_ptr<Backend> primary_;
   std::unique_ptr<Backend> fallback_;
   bool last_served_by_primary_ = false;
   // Checks answered on either route, each once: a primary attempt that
-  // faulted and was answered again by the fallback is one check.
+  // faulted and was answered again by the fallback is one check. The
+  // smt.backend.checks obs counter moves with it.
   std::int64_t checks_ = 0;
   std::int64_t degraded_ = 0;
 };

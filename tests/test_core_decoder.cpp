@@ -2,6 +2,7 @@
 
 #include "core/decoder.hpp"
 #include "lm/ngram.hpp"
+#include "plan/plan.hpp"
 #include "rules/checker.hpp"
 #include "rules/miner.hpp"
 #include "rules/parser.hpp"
@@ -63,7 +64,8 @@ TEST(GuidedDecoder, SyntaxModeAlwaysParses) {
     const DecodeResult r = dec.generate(rng);
     ASSERT_TRUE(r.ok) << r.text;
     ASSERT_TRUE(r.window.has_value());
-    EXPECT_EQ(r.stats.solver_checks, 0) << "grammar mode must not call the solver";
+    EXPECT_EQ(r.stats.solver_checks, 0)
+        << "grammar mode must not call the solver";
   }
 }
 
@@ -226,7 +228,7 @@ TEST(GuidedDecoder, PromptOutsideAlphabetIsAPrecondition) {
   // The alphabet is checked before any syntax walk: '#' would otherwise
   // trip the walk's terminator invariant first.
   DecoderConfig config;
-  config.compile_plan = true;
+  config.plan = plan::compile(env().mined, env().layout);
   GuidedDecoder dec(*env().model, env().tokenizer, env().layout, env().mined,
                     std::move(config));
   ASSERT_TRUE(dec.decode_plan() && dec.decode_plan()->active());

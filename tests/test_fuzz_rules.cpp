@@ -9,6 +9,7 @@
 #include "core/decoder.hpp"
 #include "lint/lint.hpp"
 #include "lm/ngram.hpp"
+#include "plan/plan.hpp"
 #include "rules/checker.hpp"
 #include "rules/parser.hpp"
 #include "telemetry/generator.hpp"
@@ -120,9 +121,9 @@ TEST_P(RandomRuleSets, LeJitCompliesOrReportsInfeasibility) {
       continue;
     }
 
-    core::GuidedDecoder dec(*env().model, env().tokenizer, env().layout,
-                            parsed.rules,
-                            core::DecoderConfig{.mode = core::GuidanceMode::kFull});
+    core::GuidedDecoder dec(
+        *env().model, env().tokenizer, env().layout, parsed.rules,
+        core::DecoderConfig{.mode = core::GuidanceMode::kFull});
     const std::uint64_t decode_seed = rng.next_u64();
     util::Rng decode_rng(decode_seed);
     const auto r = dec.generate(decode_rng);
@@ -136,7 +137,7 @@ TEST_P(RandomRuleSets, LeJitCompliesOrReportsInfeasibility) {
     // coarsened partition (merged clusters assert more rules per sliced
     // query, never different verdicts).
     core::DecoderConfig planned_cfg{.mode = core::GuidanceMode::kFull};
-    planned_cfg.compile_plan = true;
+    planned_cfg.plan = plan::compile(parsed.rules, env().layout);
     core::GuidedDecoder planned(*env().model, env().tokenizer, env().layout,
                                 parsed.rules, std::move(planned_cfg));
     util::Rng planned_rng(decode_seed);

@@ -365,7 +365,7 @@ TEST(Transformer, InferenceMatchesScalarReference) {
   // and 7 columns, head width 20) run every column tail of the linear kernel
   // and the attention tail for head widths other than 16; and three layers,
   // whose middle one must run at every new position like the first: only
-  // the final layer narrows to each session's last position.
+  // the final layer narrows to the last position.
   const std::vector<TransformerConfig> shapes{
       {.vocab_size = 19, .d_model = 64, .n_layers = 2, .n_heads = 4,
        .d_ff = 128, .max_seq = 64},
@@ -386,30 +386,33 @@ TEST(Transformer, InferenceMatchesScalarReference) {
       return static_cast<int>(rng.uniform_int(0, c.vocab_size - 1));
     };
 
+    const auto expect_reference = [&](const std::vector<int>& context,
+                                      KvCache& kv) {
+      EXPECT_EQ(m.logits(context, kv), reference_logits(c, flat, context))
+          << "d_model " << c.d_model << ", " << context.size() << " tokens";
+    };
+
     // The context grows by 1-4 tokens per call through one KvCache, past the
     // window.
     KvCache cache;
     std::vector<int> ctx;
     while (ctx.size() < static_cast<std::size_t>(c.max_seq + 8)) {
       for (auto k = rng.uniform_int(1, 4); k > 0; --k) ctx.push_back(token());
-      EXPECT_EQ(m.logits(ctx, cache), reference_logits(c, flat, ctx))
-          << "d_model " << c.d_model << ", " << ctx.size() << " tokens";
+      expect_reference(ctx, cache);
     }
 
-    // One batch: a cold 20-token session, a 1-token append, and a 3-token
-    // append to a warm 4-token context.
-    std::vector<std::vector<int>> batch{{}, ctx, {}};
-    for (int i = 0; i < 20; ++i) batch[0].push_back(token());
-    batch[1].push_back(token());
-    for (int i = 0; i < 4; ++i) batch[2].push_back(token());
+    // A cold 20-token context, a 1-token append to the grown context, and a
+    // 3-token append to a warm 4-token context.
+    std::vector<int> cold_ctx, warm_ctx;
+    for (int i = 0; i < 20; ++i) cold_ctx.push_back(token());
+    ctx.push_back(token());
+    for (int i = 0; i < 4; ++i) warm_ctx.push_back(token());
     KvCache cold, warm;
-    (void)m.logits(batch[2], warm);
-    for (int i = 0; i < 3; ++i) batch[2].push_back(token());
-    const std::vector<KvCache*> caches{&cold, &cache, &warm};
-    const auto out = m.logits_batch(batch, caches);
-    for (std::size_t s = 0; s < batch.size(); ++s)
-      EXPECT_EQ(out[s], reference_logits(c, flat, batch[s]))
-          << "d_model " << c.d_model << ", batch session " << s;
+    (void)m.logits(warm_ctx, warm);
+    for (int i = 0; i < 3; ++i) warm_ctx.push_back(token());
+    expect_reference(cold_ctx, cold);
+    expect_reference(ctx, cache);
+    expect_reference(warm_ctx, warm);
   }
 }
 
@@ -485,7 +488,7 @@ TEST(Transformer, LoadRejectsGarbage) {
   EXPECT_EQ(Transformer::load(path).num_parameters(), n);
 }
 
-// --- KV cache + batched decode -----------------------------------------------
+// --- KV cache ----------------------------------------------------------------
 
 TEST(Transformer, CallerCacheMatchesInternalCacheBitExactly) {
   util::Rng rng(23);
@@ -517,72 +520,6 @@ TEST(Transformer, RewoundContextMatchesColdForward) {
     EXPECT_EQ(m.logits(rewound, warm), m.logits(rewound, fresh))
         << "rewound to " << keep << " tokens";
   }
-}
-
-TEST(Transformer, BatchedLogitsBitIdenticalToSequential) {
-  util::Rng rng(25);
-  const Transformer m(tiny_config(6), rng);
-  const std::vector<std::vector<int>> contexts{
-      {}, {3}, {0, 1, 2, 3}, {5, 5, 1, 0, 2, 4, 3}, std::vector<int>(20, 1)};
-
-  std::vector<KvCache> batch_caches(contexts.size());
-  std::vector<KvCache*> cache_ptrs;
-  for (auto& c : batch_caches) cache_ptrs.push_back(&c);
-  const auto batched = m.logits_batch(contexts, cache_ptrs);
-
-  ASSERT_EQ(batched.size(), contexts.size());
-  for (std::size_t s = 0; s < contexts.size(); ++s) {
-    KvCache fresh;
-    EXPECT_EQ(batched[s], m.logits(contexts[s], fresh)) << "session " << s;
-    EXPECT_EQ(batched[s], m.logits(contexts[s])) << "session " << s;
-  }
-}
-
-TEST(Transformer, BatchedGrowingSessionsStayBitIdentical) {
-  // The serve access pattern: sessions grow token by token at different
-  // rates, cross the window limit, and keep their own caches. Every step of
-  // every session must match a sequential reference decode bit for bit.
-  util::Rng rng(26);
-  const Transformer m(tiny_config(6), rng);
-  constexpr std::size_t kSessions = 3;
-
-  std::vector<std::vector<int>> ctxs(kSessions);
-  std::vector<KvCache> batch_caches(kSessions), ref_caches(kSessions);
-  std::vector<KvCache*> cache_ptrs;
-  for (auto& c : batch_caches) cache_ptrs.push_back(&c);
-
-  util::Rng toks(27);
-  for (int step = 0; step < 18; ++step) {
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      // Session s grows every (s+1)-th step — sessions desynchronize, so the
-      // batch mixes different context lengths and cache states.
-      if (step % static_cast<int>(s + 1) == 0)
-        ctxs[s].push_back(static_cast<int>(toks.uniform_int(0, 5)));
-    }
-    const auto batched = m.logits_batch(ctxs, cache_ptrs);
-    for (std::size_t s = 0; s < kSessions; ++s)
-      EXPECT_EQ(batched[s], m.logits(ctxs[s], ref_caches[s]))
-          << "step " << step << " session " << s;
-  }
-}
-
-TEST(Transformer, BatchedLogitsValidatesArguments) {
-  util::Rng rng(28);
-  const Transformer m(tiny_config(4), rng);
-  KvCache a, b;
-  const std::vector<std::vector<int>> two{{0}, {1}};
-  const std::vector<std::vector<int>> none;
-
-  std::vector<KvCache*> one_cache{&a};
-  EXPECT_THROW(m.logits_batch(two, one_cache), util::PreconditionError);
-  std::vector<KvCache*> empty_caches;
-  EXPECT_THROW(m.logits_batch(none, empty_caches), util::PreconditionError);
-  std::vector<KvCache*> with_null{&a, nullptr};
-  EXPECT_THROW(m.logits_batch(two, with_null), util::PreconditionError);
-  std::vector<KvCache*> duplicated{&a, &a};
-  EXPECT_THROW(m.logits_batch(two, duplicated), util::PreconditionError);
-  std::vector<KvCache*> distinct{&a, &b};
-  EXPECT_NO_THROW(m.logits_batch(two, distinct));
 }
 
 TEST(Transformer, KvCacheRejectsForeignModelShape) {

@@ -362,7 +362,7 @@ void expect_identical_rows(GuidedDecoder& planned, GuidedDecoder& plain,
 
 TEST(PlanDecode, BitIdenticalWithAndWithoutPlan) {
   DecoderConfig planned_cfg{.mode = GuidanceMode::kFull};
-  planned_cfg.compile_plan = true;
+  planned_cfg.plan = compile(env().mined, env().layout);
   GuidedDecoder planned(*env().model, env().tokenizer, env().layout,
                         env().mined, std::move(planned_cfg));
   GuidedDecoder plain(*env().model, env().tokenizer, env().layout,
@@ -396,7 +396,7 @@ TEST(PlanDecode, BitIdenticalWithAndWithoutPlan) {
 
 TEST(PlanDecode, BitIdenticalWithCacheDisabled) {
   DecoderConfig planned_cfg{.mode = GuidanceMode::kFull};
-  planned_cfg.compile_plan = true;
+  planned_cfg.plan = compile(env().mined, env().layout);
   planned_cfg.cache = false;
   GuidedDecoder planned(*env().model, env().tokenizer, env().layout,
                         env().mined, std::move(planned_cfg));
@@ -460,7 +460,8 @@ TEST(PlanDecode, MergedClustersNeverChangeVerdicts) {
 }
 
 TEST(PlanDecode, LoadedArtifactMatchesCompiledPlan) {
-  // plan → JSON → plan → decoder must behave exactly like compile-in-place.
+  // plan → JSON → plan → decoder must decode exactly like the compiled
+  // plan it came from.
   const DecodePlan compiled = compile(env().mined, env().layout);
   DecoderConfig loaded_cfg{.mode = GuidanceMode::kFull};
   loaded_cfg.plan = from_json(to_json(compiled));
@@ -510,7 +511,7 @@ TEST(TinyLayout, DecodesAlikeInEveryCacheAndPlanMode) {
     for (const bool use_plan : {false, true}) {
       DecoderConfig cfg{.mode = GuidanceMode::kFull};
       cfg.cache = cache;
-      cfg.compile_plan = use_plan;
+      if (use_plan) cfg.plan = compile(set, layout);
       GuidedDecoder dec(*env().model, env().tokenizer, layout, set,
                         std::move(cfg));
       for (int seed = 0; seed < 16; ++seed) {

@@ -15,6 +15,7 @@
 
 #include "core/batch.hpp"
 #include "fault/fault.hpp"
+#include "plan/plan.hpp"
 #include "rules/checker.hpp"
 #include "rules/miner.hpp"
 #include "serve/queue.hpp"
@@ -27,7 +28,7 @@ namespace {
 
 using telemetry::Window;
 
-// --- BoundedQueue -------------------------------------------------------------
+// --- BoundedQueue ------------------------------------------------------------
 
 TEST(BoundedQueue, FifoAndDrainAfterClose) {
   BoundedQueue<int> q(8);
@@ -79,7 +80,7 @@ TEST(BoundedQueue, CloseUnblocksAWaitingProducer) {
   producer.join();
 }
 
-// --- serving runtime ----------------------------------------------------------
+// --- serving runtime ---------------------------------------------------------
 
 struct Env {
   telemetry::Dataset dataset;
@@ -214,13 +215,13 @@ TEST(Serve, EachSessionRunsItsOwnForwards) {
 }
 
 TEST(Serve, SharedCompiledPlanKeepsDecodesBitIdentical) {
-  // compile_plan is hoisted into the Server constructor (one compile shared
-  // by all sessions); the plan must not change decoded text.
+  // One plan, compiled once and handed to every session, must not change
+  // decoded text.
   std::vector<std::string> prompts(env().prompts.begin(),
                                    env().prompts.begin() + 6);
   const auto expected = sequential_decode(prompts, 17);
   core::DecoderConfig config = full_config();
-  config.compile_plan = true;
+  config.plan = plan::compile(env().mined, env().layout);
   Server server(*env().model, env().tokenizer, env().layout, env().mined,
                 config,
                 ServeConfig{.workers = 2, .batch = 2, .seed = 17});

@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "smt/backend.hpp"
 #include "smt/diff.hpp"
 #include "smt/smtlib2.hpp"
@@ -236,6 +237,13 @@ TEST(BackendSpec, AutoFallsBackToMinismtWhenNothingIsFound) {
 // --- FailoverBackend ---------------------------------------------------------
 
 TEST(FailoverBackend, AbsentBinaryDegradesEveryCheckToTheFallback) {
+  // smt.backend.checks must count what backend_stats().checks counts.
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const obs::Counter& obs_checks =
+      obs::MetricsRegistry::instance().counter("smt.backend.checks");
+  const std::int64_t obs_before = obs_checks.value();
+
   BackendConfig cfg;
   cfg.kind = BackendKind::kSubprocess;
   cfg.solver_path = "/nonexistent/solver-binary";
@@ -262,6 +270,7 @@ TEST(FailoverBackend, AbsentBinaryDegradesEveryCheckToTheFallback) {
   const BackendStats later = b->backend_stats();
   EXPECT_EQ(later.checks, 10);
   EXPECT_EQ(later.degraded, 10);
+  EXPECT_EQ(obs_checks.value() - obs_before, later.checks);
 
   // The fallback's model is available after a degraded sat check.
   ASSERT_EQ(b->check(), CheckResult::kSat);
@@ -275,6 +284,8 @@ TEST(FailoverBackend, AbsentBinaryDegradesEveryCheckToTheFallback) {
   ASSERT_TRUE(iv.has_value());
   EXPECT_EQ(*iv, (Interval{0, 5}));
   EXPECT_GT(b->backend_stats().checks, 11);
+  EXPECT_EQ(obs_checks.value() - obs_before, b->backend_stats().checks);
+  obs::set_metrics_enabled(metrics_were_on);
 }
 
 TEST(FailoverBackend, GenuineUnknownIsNotDegradation) {

@@ -11,6 +11,7 @@
 #include "core/decoder.hpp"
 #include "fault/fault.hpp"
 #include "lm/ngram.hpp"
+#include "plan/plan.hpp"
 #include "rules/checker.hpp"
 #include "rules/miner.hpp"
 #include "smt/formula.hpp"
@@ -203,7 +204,7 @@ TEST(LazyMask, SixtyFourRowsMatchEagerWithFewerChecks) {
 
 TEST(LazyMask, PlanOn) {
   DecoderConfig config = with_cache(GuidanceMode::kFull, true);
-  config.compile_plan = true;
+  config.plan = plan::compile(env().mined, env().layout);
   expect_lazy_saved(expect_lazy_matches_eager(config));
 }
 

@@ -280,7 +280,7 @@ core::DecoderConfig decoder_config_from_args(const Args& args,
     }
     config.plan = std::move(loaded);
   } else if (args.has("plan-compile")) {
-    config.compile_plan = true;
+    config.plan = plan::compile(rules, layout);
   }
   return config;
 }
