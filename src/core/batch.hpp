@@ -1,76 +1,23 @@
-// Fleet-scale batch decoding.
+// Per-row RNG derivation for multi-row decoding.
 //
-// The paper's workload is 30K imputations over a rack fleet (§4.1); this
-// driver runs such workloads across worker threads. Each worker owns its own
-// GuidedDecoder (decoders hold solver state, and the transformer's KV cache
-// makes even inference non-reentrant), created through a caller-supplied
-// factory. Sampling is deterministic and *schedule-independent*: window i is
-// always decoded with an RNG forked from (seed, i), so the results are
-// bit-identical to a sequential run regardless of thread count.
+// The paper's workload is 30K imputations over a rack fleet (§4.1); the
+// serve runtime (src/serve/) decodes such workloads on many sessions at
+// once. Sampling is deterministic and *schedule-independent* because row i
+// is always decoded with an RNG forked from (seed, i), so the results are
+// bit-identical to a sequential run regardless of which session decodes
+// which row.
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <span>
+#include <cstddef>
+#include <cstdint>
 
-#include "core/decoder.hpp"
-#include "telemetry/schema.hpp"
+#include "util/rng.hpp"
 
 namespace lejit::core {
 
-struct BatchConfig {
-  // 0 = one worker per hardware thread.
-  int threads = 0;
-  std::uint64_t seed = 1;
-
-  // Per-row fault isolation. When a row's generate() throws, the row is
-  // retried up to row_retries times (with exponential backoff starting at
-  // retry_backoff_us); if every attempt throws, the row is reported as
-  // degraded (FailReason::kFault, the exception text in fail_detail) and the
-  // rest of the batch proceeds. Disable to restore fail-fast: the first
-  // throwing row aborts the whole batch.
-  bool isolate_rows = true;
-  int row_retries = 1;
-  std::int64_t retry_backoff_us = 0;
-};
-
-using DecoderFactory = std::function<std::unique_ptr<GuidedDecoder>()>;
-
-// Deterministic per-row RNG: depends only on (seed, row, attempt), so results
-// are schedule-independent. Attempt 0 reproduces the pre-isolation derivation
-// exactly. Shared with the serve runtime (src/serve/), which must decode a
-// given (seed, row) pair bit-identically to this batch driver.
+// Deterministic per-row RNG: depends only on (seed, row, attempt), so
+// results are schedule-independent. The serve runtime and every sequential
+// oracle decode attempt 0; distinct attempts give distinct streams.
 util::Rng row_rng(std::uint64_t seed, std::size_t row, int attempt) noexcept;
-
-// Microseconds to sleep before retry `attempt` (>= 1): retry_backoff_us
-// doubled per prior attempt, with the exponent clamped and the result capped
-// at 1 s — naive `base << (attempt - 1)` overflows long before attempt 64 and
-// is undefined behavior from there on.
-std::uint64_t retry_backoff_for_attempt(std::int64_t retry_backoff_us,
-                                        int attempt) noexcept;
-
-struct BatchReport {
-  std::vector<DecodeResult> results;  // in input order
-  std::size_t ok = 0;
-  std::size_t infeasible_prompts = 0;
-  std::size_t dead_ends = 0;
-  // Rows whose every attempt ended in an exception (FailReason::kFault).
-  std::size_t degraded_rows = 0;
-  // Row attempts beyond the first, across the whole batch.
-  std::size_t row_retries = 0;
-  double wall_seconds = 0.0;
-};
-
-// Impute every window (prompt = its coarse prefix). `make_decoder` is called
-// once per worker and must produce independent decoders over the same model
-// and rule set.
-BatchReport impute_batch(const DecoderFactory& make_decoder,
-                         std::span<const telemetry::Window> windows,
-                         const BatchConfig& config = {});
-
-// Unconditional generation of `count` rows (the synthesis task).
-BatchReport synthesize_batch(const DecoderFactory& make_decoder,
-                             std::size_t count,
-                             const BatchConfig& config = {});
 
 }  // namespace lejit::core

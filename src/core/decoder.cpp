@@ -411,10 +411,7 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
     std::int64_t factor = 1;
     for (int i = 0; i < round; ++i) factor *= res.escalation_factor;
     smt::Budget b;
-    const std::int64_t base_nodes =
-        res.check_max_nodes > 0 ? res.check_max_nodes
-                                : config_.solver.max_nodes;
-    b.max_nodes = base_nodes * factor;
+    b.max_nodes = config_.solver.max_nodes * factor;
     if (res.check_deadline_ms > 0)
       b.deadline_ns =
           obs::now_ns() + res.check_deadline_ms * factor * 1'000'000;

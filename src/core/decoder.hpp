@@ -63,8 +63,8 @@ enum class UnknownPolicy {
 struct ResilienceConfig {
   UnknownPolicy on_unknown = UnknownPolicy::kEscalate;
 
-  // Per-solver-call limits while masking (0 = SolverConfig default / none).
-  std::int64_t check_max_nodes = 0;
+  // Per-solver-call deadline while masking (0 = none); the per-call node cap
+  // is DecoderConfig::solver.max_nodes.
   std::int64_t check_deadline_ms = 0;
 
   // Per-row ceilings across all attempts, owned by the decoder (0 = none).
@@ -188,7 +188,7 @@ enum class FailReason {
   kEmptyMask,          // no legal token at some step, retries exhausted
   kBudgetExhausted,    // per-row node/deadline ceiling hit
   kFault,              // an exception (e.g. injected fault) killed the row;
-                       // assigned by the batch driver, not the decoder
+                       // assigned by the serve runtime, not the decoder
 };
 
 std::string_view fail_reason_name(FailReason r) noexcept;

@@ -12,7 +12,6 @@ std::string_view site_name(Site s) noexcept {
   switch (s) {
     case Site::kSolverCheck: return "solver_check";
     case Site::kLmForward: return "lm_forward";
-    case Site::kBatchRow: return "batch_row";
     case Site::kSubprocessKill: return "subprocess_kill";
     case Site::kSubprocessHang: return "subprocess_hang";
     case Site::kSubprocessGarble: return "subprocess_garble";
@@ -57,7 +56,6 @@ void Injector::arm(Plan plan) {
   unknowns_.store(0, std::memory_order_relaxed);
   throws_.store(0, std::memory_order_relaxed);
   delays_.store(0, std::memory_order_relaxed);
-  row_faults_.store(0, std::memory_order_relaxed);
   armed_.store(true, std::memory_order_release);
 }
 
@@ -98,24 +96,12 @@ bool Injector::on_call(Site site) {
   return false;
 }
 
-void Injector::on_batch_row(std::size_t row, int attempt) {
-  if (!armed()) return;
-  for (const auto& [r, attempts] : plan_.fail_rows) {
-    if (r != row || attempt >= attempts) continue;
-    row_faults_.fetch_add(1, std::memory_order_relaxed);
-    injected_counter("injected_row_faults").inc();
-    throw InjectedFault("injected fault at batch row " + std::to_string(row) +
-                        " attempt " + std::to_string(attempt));
-  }
-}
-
 Counts Injector::counts() const noexcept {
   Counts c;
   c.calls = calls_.load(std::memory_order_relaxed);
   c.unknowns = unknowns_.load(std::memory_order_relaxed);
   c.throws = throws_.load(std::memory_order_relaxed);
   c.delays = delays_.load(std::memory_order_relaxed);
-  c.row_faults = row_faults_.load(std::memory_order_relaxed);
   return c;
 }
 

@@ -1,12 +1,13 @@
 // Deterministic fault injection for resilience testing.
 //
-// The decode hot path has three places where the real world can hurt it: a
-// solver check can come back inconclusive (budget/deadline exhaustion), an LM
-// forward pass can fail or stall (a remote inference backend), and a whole
-// batch row can die (a poisoned prompt, an OOM'd worker). The `Injector`
-// simulates all three on demand so the resilience machinery — kUnknown
-// policies, dead-end recovery, per-row isolation — can be exercised by
-// ordinary ctest runs instead of waiting for production incidents.
+// The decode hot path has two places where the real world can hurt it: a
+// solver check can come back inconclusive (budget/deadline exhaustion), and
+// an LM forward pass can fail or stall (a remote inference backend). The
+// `Injector` simulates both on demand, along with the subprocess solver's
+// wire faults (see Site), so the resilience machinery — kUnknown policies,
+// dead-end recovery, serve's per-row isolation of a throwing decode — can be
+// exercised by ordinary ctest runs instead of waiting for production
+// incidents.
 //
 // Design rules, mirroring `obs`:
 //   1. Near-zero cost when disarmed: every hook reduces to one relaxed
@@ -17,8 +18,6 @@
 //      bit-identically. Under a thread pool the per-site call order is
 //      schedule-dependent, but the *rate* of injected faults is not — stress
 //      tests assert on aggregate counts, which the injector also reports.
-//   3. Scripted faults for targeted scenarios: "row 5 fails its first two
-//      attempts" is expressed directly, independent of probabilities.
 #pragma once
 
 #include <array>
@@ -26,7 +25,6 @@
 #include <cstdint>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "util/error.hpp"
 
@@ -43,7 +41,6 @@ class InjectedFault : public util::RuntimeError {
 enum class Site : int {
   kSolverCheck = 0,  // smt::Solver::check_assuming → force kUnknown
   kLmForward,        // lm::LanguageModel::logits → throw / stall
-  kBatchRow,         // core batch row attempt → throw (scripted only)
   // smt::SubprocessBackend wire faults. These are *fire* sites: p_unknown is
   // the probability the fault fires (see inject_fire), and the backend turns
   // a firing into the real failure path — SIGKILLing its child, simulating a
@@ -73,11 +70,6 @@ struct Plan {
   std::uint64_t seed = 1;
   std::array<SiteConfig, static_cast<int>(Site::kCount)> sites{};
 
-  // Scripted row faults: {row index, attempts}. The row's first `attempts`
-  // generation attempts throw InjectedFault; attempt numbers past that
-  // succeed. Use attempts > the batch's retry limit to force a degraded row.
-  std::vector<std::pair<std::size_t, int>> fail_rows;
-
   SiteConfig& site(Site s) { return sites[static_cast<std::size_t>(s)]; }
   const SiteConfig& site(Site s) const {
     return sites[static_cast<std::size_t>(s)];
@@ -87,11 +79,10 @@ struct Plan {
 // What the injector actually did — the ground truth stress tests compare
 // observability counters against.
 struct Counts {
-  std::int64_t calls = 0;     // armed hook evaluations (probabilistic sites)
+  std::int64_t calls = 0;     // armed hook evaluations
   std::int64_t unknowns = 0;  // forced kUnknown results
-  std::int64_t throws = 0;    // InjectedFault thrown (probabilistic sites)
+  std::int64_t throws = 0;    // InjectedFault thrown
   std::int64_t delays = 0;    // stalled calls
-  std::int64_t row_faults = 0;  // scripted batch-row throws
 };
 
 class Injector {
@@ -112,10 +103,6 @@ class Injector {
   // returning false when disarmed.
   bool on_call(Site site);
 
-  // Scripted hook: throws InjectedFault iff `plan.fail_rows` schedules a
-  // fault for this (row, attempt). Attempt numbers start at 0.
-  void on_batch_row(std::size_t row, int attempt);
-
   Counts counts() const noexcept;
 
  private:
@@ -129,7 +116,6 @@ class Injector {
   std::atomic<std::int64_t> unknowns_{0};
   std::atomic<std::int64_t> throws_{0};
   std::atomic<std::int64_t> delays_{0};
-  std::atomic<std::int64_t> row_faults_{0};
 };
 
 // Arms `plan` for the current scope; disarms on destruction. The standard

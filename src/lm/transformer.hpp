@@ -142,8 +142,8 @@ class Transformer final : public LanguageModel {
 
 // A per-thread / per-session view of a shared Transformer: same logits, but
 // the KV cache lives here, so any number of sessions can decode concurrently
-// over one read-only model (e.g. a core::DecoderFactory capturing a shared
-// model hands each worker its own TransformerSession). The model must
+// over one read-only model (e.g. each serve::DecodeSession decodes through
+// its own TransformerSession on the server's shared model). The model must
 // outlive the session and must not be trained while sessions are live.
 class TransformerSession final : public LanguageModel {
  public:

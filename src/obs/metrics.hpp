@@ -7,8 +7,8 @@
 //      memory is written. Observability is compiled in everywhere and gated
 //      at runtime (off by default, switched on by CLI flags / benches).
 //   2. Thread-safe updates without locks. Counters and histogram buckets are
-//      relaxed atomics; the decode batch driver and future servers can hammer
-//      them from many threads.
+//      relaxed atomics; the serve runtime's session threads hammer them
+//      from many threads at once.
 //   3. Stable handles. Registered metrics live for the process lifetime and
 //      never move, so call sites look a metric up once (function-local
 //      static) and keep the reference.
@@ -123,8 +123,9 @@ class MetricsRegistry {
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   // `opts` is honored on first registration only.
-  Histogram& histogram(const std::string& name, HistogramOptions opts =
-                                                    HistogramOptions::latency_us());
+  Histogram& histogram(
+      const std::string& name,
+      HistogramOptions opts = HistogramOptions::latency_us());
 
   // Zero every registered metric. Registrations (and references handed out)
   // stay valid — benches call this between measured modes.

@@ -6,6 +6,7 @@
 #endif
 
 #include <exception>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -82,6 +83,9 @@ Server::Server(const lm::Transformer& model,
     : config_(config), queue_(config.queue_capacity) {
   LEJIT_REQUIRE(config_.workers > 0, "serve: workers must be positive");
   LEJIT_REQUIRE(config_.batch > 0, "serve: batch must be positive");
+  LEJIT_REQUIRE(
+      config_.workers <= std::numeric_limits<int>::max() / config_.batch,
+      "serve: workers * batch overflows the session count");
 
   const int sessions = config_.workers * config_.batch;
   sessions_.reserve(static_cast<std::size_t>(sessions));
@@ -106,7 +110,6 @@ void Server::session_main(DecodeSession& session) {
   while (auto job = queue_.pop()) {
     core::DecodeResult result;
     try {
-      // Same (seed, row) → RNG derivation as the offline batch driver.
       // Serve does not retry rows (no attempt loop), so attempt is 0.
       util::Rng rng = core::row_rng(config_.seed, job->row, 0);
       result = session.decode(rng, job->run->prompts[job->row]);

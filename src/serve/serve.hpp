@@ -10,11 +10,10 @@
 // through that cache, never waiting on another session.
 //
 // Determinism contract: row i of a run() call is decoded with the RNG
-// derived from (seed, i) by core::row_rng — exactly the batch driver's
-// derivation — and a session's logits depend only on its own context, so
-// serve output for a fixed (seed, prompts) pair is bit-identical to a
-// sequential per-row decode, independent of worker count, sessions per
-// worker, queue order, and thread scheduling.
+// derived from (seed, i) by core::row_rng, and a session's logits depend
+// only on its own context, so serve output for a fixed (seed, prompts) pair
+// is bit-identical to a sequential per-row decode, independent of worker
+// count, sessions per worker, queue order, and thread scheduling.
 #pragma once
 
 #include <atomic>
@@ -40,7 +39,7 @@ struct ServeConfig {
   int batch = 4;
   // Admission queue bound: submissions beyond this backpressure the caller.
   std::size_t queue_capacity = 1024;
-  // Row RNG seed (core::row_rng derivation, shared with core/batch).
+  // Row RNG seed (core::row_rng derivation).
   std::uint64_t seed = 1;
 };
 

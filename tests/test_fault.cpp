@@ -12,7 +12,6 @@ TEST(FaultInjector, DisarmedHooksAreNoOps) {
   Injector& inj = Injector::instance();
   ASSERT_FALSE(inj.armed());
   EXPECT_FALSE(inj.on_call(Site::kSolverCheck));
-  EXPECT_NO_THROW(inj.on_batch_row(0, 0));
   EXPECT_FALSE(inject_unknown(Site::kSolverCheck));
   EXPECT_NO_THROW(inject(Site::kLmForward));
 }
@@ -106,33 +105,19 @@ TEST(FaultInjector, DelayActuallyStalls) {
   EXPECT_EQ(Injector::instance().counts().delays, 1);
 }
 
-TEST(FaultInjector, ScriptedRowFaultsHitExactAttempts) {
-  Plan plan;
-  plan.fail_rows = {{5, 2}};
-  const ScopedPlan scoped{plan};
-  Injector& inj = Injector::instance();
-
-  EXPECT_THROW(inj.on_batch_row(5, 0), InjectedFault);
-  EXPECT_THROW(inj.on_batch_row(5, 1), InjectedFault);
-  EXPECT_NO_THROW(inj.on_batch_row(5, 2));  // past the scripted attempts
-  EXPECT_NO_THROW(inj.on_batch_row(4, 0));  // other rows untouched
-  EXPECT_EQ(inj.counts().row_faults, 2);
-}
-
 TEST(FaultInjector, InjectedFaultIsARuntimeError) {
   Plan plan;
-  plan.site(Site::kBatchRow).p_throw = 1.0;
+  plan.site(Site::kLmForward).p_throw = 1.0;
   const ScopedPlan scoped{plan};
   // Catchable both precisely and through the generic recovery paths.
-  EXPECT_THROW(inject(Site::kBatchRow), InjectedFault);
-  EXPECT_THROW(inject(Site::kBatchRow), util::RuntimeError);
-  EXPECT_THROW(inject(Site::kBatchRow), std::exception);
+  EXPECT_THROW(inject(Site::kLmForward), InjectedFault);
+  EXPECT_THROW(inject(Site::kLmForward), util::RuntimeError);
+  EXPECT_THROW(inject(Site::kLmForward), std::exception);
 }
 
 TEST(FaultInjector, SiteNamesAreStable) {
   EXPECT_EQ(site_name(Site::kSolverCheck), "solver_check");
   EXPECT_EQ(site_name(Site::kLmForward), "lm_forward");
-  EXPECT_EQ(site_name(Site::kBatchRow), "batch_row");
 }
 
 }  // namespace

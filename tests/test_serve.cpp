@@ -296,6 +296,28 @@ TEST(Serve, RejectsDegenerateConfigs) {
                       env().mined, full_config(),
                       ServeConfig{.queue_capacity = 0}),
                util::PreconditionError);
+  // workers * batch past INT_MAX must be rejected before any session is
+  // built, not wrap around into a session count the loop never reaches.
+  EXPECT_THROW(Server(*env().model, env().tokenizer, env().layout,
+                      env().mined, full_config(),
+                      ServeConfig{.workers = 65536, .batch = 65536}),
+               util::PreconditionError);
+}
+
+// --- per-row RNG derivation --------------------------------------------------
+
+TEST(RowRng, DeterministicAndDistinctAcrossRowsAndAttempts) {
+  util::Rng a = core::row_rng(42, 7, 0);
+  util::Rng b = core::row_rng(42, 7, 0);
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+  // Different rows / attempts / seeds must diverge immediately — neighbors
+  // re-rolling the same stream would decode identical rows.
+  EXPECT_NE(core::row_rng(42, 7, 0).next_u64(),
+            core::row_rng(42, 8, 0).next_u64());
+  EXPECT_NE(core::row_rng(42, 7, 0).next_u64(),
+            core::row_rng(42, 7, 1).next_u64());
+  EXPECT_NE(core::row_rng(42, 7, 0).next_u64(),
+            core::row_rng(43, 7, 0).next_u64());
 }
 
 }  // namespace

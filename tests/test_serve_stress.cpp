@@ -3,8 +3,8 @@
 // preset).
 //
 // Two hazards are pinned here:
-//   1. Sharing ONE Transformer instance across batch worker threads races
-//      its internal KV cache. The ReentrancyGuard on Transformer::logits()
+//   1. Sharing ONE Transformer instance across decoder threads races its
+//      internal KV cache. The ReentrancyGuard on Transformer::logits()
 //      must catch that misuse deterministically — abort with a message
 //      naming the fix — instead of silently corrupting decoded text.
 //   2. The serve runtime (queue + session pool, each session with its own
@@ -15,8 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/batch.hpp"
@@ -64,50 +64,31 @@ core::DecoderConfig full_config() {
   return core::DecoderConfig{.mode = core::GuidanceMode::kFull};
 }
 
-// Hazard 1: a DecoderFactory that closes over ONE shared Transformer hands
-// the same internal KV cache to every batch worker. The guard must turn
-// that race into a deterministic abort pointing at TransformerSession.
+// Hazard 1: decoders on several threads over ONE shared Transformer hand
+// every thread the same internal KV cache. The guard must turn that race
+// into a deterministic abort pointing at TransformerSession, the per-thread
+// view every serve session decodes through.
 TEST(ServeStressDeathTest, SharedTransformerAcrossBatchWorkersAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const core::DecoderFactory shared_model_factory = [] {
-    return std::make_unique<core::GuidedDecoder>(
-        *env().model, env().tokenizer, env().layout, env().mined,
-        full_config());
-  };
   EXPECT_DEATH(
       {
         // Plenty of rows on several threads: each decode step calls
         // logits(), so overlapping entry is immediate and the guard fires
-        // long before the batch completes.
-        (void)core::synthesize_batch(shared_model_factory, 32,
-                                     core::BatchConfig{.threads = 4});
+        // long before the rows complete.
+        std::vector<std::thread> threads;
+        for (std::size_t t = 0; t < 4; ++t)
+          threads.emplace_back([t] {
+            core::GuidedDecoder decoder(*env().model, env().tokenizer,
+                                        env().layout, env().mined,
+                                        full_config());
+            for (std::size_t i = 0; i < 8; ++i) {
+              util::Rng rng = core::row_rng(1, 8 * t + i, 0);
+              (void)decoder.generate(rng, "");
+            }
+          });
+        for (std::thread& thread : threads) thread.join();
       },
       "entered concurrently");
-}
-
-// The supported spellings of the same workload must NOT die: one decoder
-// per thread via TransformerSession (its own KV cache view), which is also
-// what every serve session decodes through.
-TEST(ServeStress, PerThreadSessionsDecodeTheSharedModelSafely) {
-  // The factory runs concurrently on the worker threads, so the session
-  // pool keeping the borrowed LanguageModels alive needs its own lock.
-  std::mutex mu;
-  std::vector<std::unique_ptr<lm::TransformerSession>> sessions;
-  const core::DecoderFactory session_factory = [&] {
-    auto session = std::make_unique<lm::TransformerSession>(*env().model);
-    lm::TransformerSession& view = *session;
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      sessions.push_back(std::move(session));
-    }
-    return std::make_unique<core::GuidedDecoder>(
-        view, env().tokenizer, env().layout, env().mined, full_config());
-  };
-  const core::BatchReport report = core::synthesize_batch(
-      session_factory, 24, core::BatchConfig{.threads = 4, .seed = 6});
-  ASSERT_EQ(report.results.size(), 24u);
-  EXPECT_EQ(report.ok, 24u);
-  EXPECT_EQ(report.degraded_rows, 0u);
 }
 
 // Hazard 2: oversubscribed serve under tsan. 16 session threads on a small

@@ -285,7 +285,7 @@ TEST(LazyMask, FiniteNodeBudgetWithFeasibleUnknowns) {
   std::int64_t recoveries = 0;
   for (const std::int64_t nodes : {1, 10}) {
     DecoderConfig config = with_cache(GuidanceMode::kFull, true);
-    config.resilience.check_max_nodes = nodes;
+    config.solver.max_nodes = nodes;
     config.resilience.on_unknown = UnknownPolicy::kFeasible;
     config.resilience.retry_budget = 4;
     const LazyTotals totals = expect_lazy_matches_eager(config);

@@ -7,8 +7,9 @@
 #   usage: run_stress_sanitized.sh [--tsan]
 #
 # Default is ASan+UBSan (memory/UB bugs); --tsan selects ThreadSanitizer,
-# which is what catches races in the batch driver's worker pool. The two are
-# separate presets because the sanitizers cannot be combined in one binary.
+# which is what catches races in the serve runtime's session pool. The two
+# are separate presets because the sanitizers cannot be combined in one
+# binary.
 set -eu
 
 cd "$(dirname "$0")/.."
